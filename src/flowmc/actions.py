@@ -102,10 +102,6 @@ class Action:
         return self.describe or to_str(self.expr)
 
 
-def make_action(expr: Expr, describe: str = "") -> Action:
-    return Action(expr, describe)
-
-
 def id_action(vars: frozenset[str] | set[str]) -> Action:
     """Identity on ``vars``: the conjunction of x' = x; constant true when empty."""
     parts: list[Expr] = [Binary("==", VarRef(v, True), VarRef(v, False)) for v in sorted(vars)]
@@ -179,6 +175,32 @@ def eval_action(action: Action, pre: State, post: State) -> bool:
     return bool(eval_expr(action.expr, pre.env(), post.env()))
 
 
+def enumerate_valuations(
+    expr: Expr,
+    written: list[str],
+    pre: Mapping[str, Value],
+    domains: Mapping[str, Domain],
+) -> list[dict[str, Value]]:
+    """All valuations that agree with ``pre`` outside ``written`` and
+    satisfy ``expr`` read as a relation from ``pre``.  Deterministic order:
+    lexicographic in the order of ``written``, then by domain value."""
+    for name in written:
+        domain = domains.get(name)
+        if domain is None:
+            raise ActionError(f"no declared domain for written variable '{name}'")
+        if not domain.is_finite:
+            raise InfiniteDomainError(f"written variable '{name}' has an unbounded domain")
+
+    out: list[dict[str, Value]] = []
+    spaces = [list(domains[name].values()) for name in written]
+    for combo in itertools.product(*spaces):
+        candidate = dict(pre)
+        candidate.update(zip(written, combo))
+        if bool(eval_expr(expr, pre, candidate)):
+            out.append(candidate)
+    return out
+
+
 def enumerate_posts(
     action: Action,
     pre: State,
@@ -187,29 +209,14 @@ def enumerate_posts(
     """All post states reachable from ``pre``: candidates agree with ``pre``
     outside ``action.writes`` and satisfy the action.  Deterministic order,
     lexicographic by variable name then value."""
-    written = sorted(action.writes)
-    for name in written:
-        domain = domains.get(name)
-        if domain is None:
-            raise ActionError(f"no declared domain for written variable '{name}'")
-        if not domain.is_finite:
-            raise InfiniteDomainError(f"written variable '{name}' has an unbounded domain")
-
     local_names = {name for name, _ in pre.locals}
-    pre_env = pre.env()
-    posts: list[State] = []
-    spaces = [list(domains[name].values()) for name in written]
-    for combo in itertools.product(*spaces):
-        candidate = dict(pre_env)
-        candidate.update(zip(written, combo))
-        if bool(eval_expr(action.expr, pre_env, candidate)):
-            posts.append(
-                State.make(
-                    {k: v for k, v in candidate.items() if k in local_names},
-                    {k: v for k, v in candidate.items() if k not in local_names},
-                )
-            )
-    return posts
+    return [
+        State.make(
+            {k: v for k, v in post.items() if k in local_names},
+            {k: v for k, v in post.items() if k not in local_names},
+        )
+        for post in enumerate_valuations(action.expr, sorted(action.writes), pre.env(), domains)
+    ]
 
 
 def literal(value: Value) -> Expr:

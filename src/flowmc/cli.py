@@ -121,10 +121,14 @@ def cmd_check(args: argparse.Namespace) -> int:
         print(format_trace(verdict.trace))
         return FAIL
     if verdict.truncated:
-        print("inconclusive: bound hit before closing the state space")
-        return INCONCLUSIVE
+        return _inconclusive()
     print("holds")
     return OK
+
+
+def _inconclusive() -> int:
+    print("inconclusive: bound hit before closing the state space")
+    return INCONCLUSIVE
 
 
 def cmd_emit(args: argparse.Namespace) -> int:
@@ -195,6 +199,8 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
     except (StsError, PdsError, ActionError, ExprError) as err:
         print(f"error: {err}", file=sys.stderr)
         return IO_ERROR
+    if verdict.inconclusive:
+        return _inconclusive()
     if verdict.equivalent:
         print("equivalent")
         return OK
@@ -217,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-steps", type=int, default=100_000)
         p.add_argument("--max-stack", type=int, default=64)
         p.add_argument("--stack-capacity", type=int, default=10)
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("validate", help="parse and validate a .apg file")
     p.add_argument("input")

@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
+from .actions import literal
 from .expr import (
     AnyVal,
     Binary,
@@ -224,7 +225,7 @@ def emit_tla(sts: Sts, opts: EmitterOptions = EmitterOptions()) -> tuple[str, st
     if sts.init.globals_expr != TRUE:
         init_conjuncts.append(render_tla(sts.init.globals_expr))
     for local, value in sts.init.locals_values:
-        init_conjuncts.append(f"{local} = {render_tla(_lit(value))}")
+        init_conjuncts.append(f"{local} = {render_tla(literal(value))}")
     lines.append("Init ==")
     lines += [f"  /\\ {part}" for part in init_conjuncts]
     lines.append("")
@@ -250,10 +251,6 @@ def emit_tla(sts: Sts, opts: EmitterOptions = EmitterOptions()) -> tuple[str, st
         cfg_lines.append(f"CONSTANT Dom_{scalar} = {values}")
     config = "\n".join(cfg_lines) + "\n"
     return module, config
-
-
-def _lit(value) -> Expr:
-    return BoolLit(value) if isinstance(value, bool) else IntLit(value)
 
 
 def _tla_action(sts: Sts, action: StsAction) -> list[str]:
@@ -347,11 +344,6 @@ def emit_nuxmv(sts: Sts, opts: EmitterOptions = EmitterOptions()) -> str:
             return f"{domain.lo}..{domain.hi}"
         return "integer"
 
-    def smv_value(value) -> str:
-        if isinstance(value, bool):
-            return "TRUE" if value else "FALSE"
-        return str(value)
-
     node_enum = "{" + ", ".join(sts.node_values) + "}"
     slot_enum = "{" + ", ".join([STACK_PADDING] + list(sts.node_values)) + "}"
     init_local = dict(sts.init.locals_values)
@@ -385,12 +377,13 @@ def emit_nuxmv(sts: Sts, opts: EmitterOptions = EmitterOptions()) -> str:
     for i in range(cap):
         init_parts.append(f"st_node_{i} = {STACK_PADDING}")
     for local in sts.locals_order:
+        initial = render_smv(literal(init_local[local]))
         for i in range(cap):
-            init_parts.append(f"st_{local}_{i} = {smv_value(init_local[local])}")
+            init_parts.append(f"st_{local}_{i} = {initial}")
     if sts.init.globals_expr != TRUE:
         init_parts.append(render_smv(sts.init.globals_expr))
     for local, value in sts.init.locals_values:
-        init_parts.append(f"{local} = {smv_value(value)}")
+        init_parts.append(f"{local} = {render_smv(literal(value))}")
     lines.append("INIT")
     lines.append("  " + " & ".join(init_parts) + ";")
     lines.append("TRANS")
@@ -400,11 +393,6 @@ def emit_nuxmv(sts: Sts, opts: EmitterOptions = EmitterOptions()) -> str:
 
 def _smv_action(sts: Sts, action: StsAction) -> str:
     cap = sts.stack_capacity
-
-    def smv_value(value) -> str:
-        if isinstance(value, bool):
-            return "TRUE" if value else "FALSE"
-        return str(value)
 
     parts: list[str] = []
     if not action.skip_source_test:
@@ -442,9 +430,10 @@ def _smv_action(sts: Sts, action: StsAction) -> str:
                 f"TRUE : st_node_{i}; esac)"
             )
         for local in sts.locals_order:
+            initial = render_smv(literal(init_local[local]))
             for i in range(cap):
                 parts.append(
-                    f"next(st_{local}_{i}) = (case depth = {i + 1} : {smv_value(init_local[local])}; "
+                    f"next(st_{local}_{i}) = (case depth = {i + 1} : {initial}; "
                     f"TRUE : st_{local}_{i}; esac)"
                 )
     for part in conjuncts(action.body.expr):

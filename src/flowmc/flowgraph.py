@@ -65,9 +65,6 @@ class ProcedureFlowGraph:
     locals: tuple[VarDecl, ...]
     init_locals: dict[str, Value]
 
-    def successors(self, node: str) -> list[FlowEdge]:
-        return [e for e in self.edges if e.src == node]
-
 
 @dataclass(frozen=True)
 class FlowGraph:

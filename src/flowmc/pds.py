@@ -19,7 +19,7 @@ import itertools
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Generic, Hashable, Iterable, Mapping, Optional, TypeVar
 
 from .actions import Action, InfiniteDomainError, State, enumerate_posts
 from .expr import Domain, Expr, Value, eval_expr, free_vars
@@ -232,39 +232,87 @@ def successors(pds: InducedPds, config: Configuration) -> list[Configuration]:
     return out
 
 
+S = TypeVar("S", bound=Hashable)
+
+
+@dataclass
+class Search(Generic[S]):
+    """What one bounded BFS saw.  ``parents`` holds every discovered state
+    and the state it was first reached from (``None`` for an initial state),
+    in discovery order; ``successors`` the successor tuple of every expanded
+    state, in expansion order; ``found`` the first state the stop predicate
+    accepted.  ``cut`` is ``"max-steps"`` when a discovered state was left
+    unexpanded, else ``"max-stack"`` when the keep filter dropped a state."""
+
+    parents: dict[S, Optional[S]]
+    successors: dict[S, tuple[S, ...]]
+    found: Optional[S]
+    cut: Optional[str]
+
+    @property
+    def deadlocks(self) -> list[S]:
+        return [state for state, succ in self.successors.items() if not succ]
+
+    def path_to(self, state: S) -> tuple[S, ...]:
+        chain = [state]
+        while (parent := self.parents[chain[-1]]) is not None:
+            chain.append(parent)
+        return tuple(reversed(chain))
+
+
+def bounded_search(
+    initial: Iterable[S],
+    step: Callable[[S], Iterable[S]],
+    max_steps: int,
+    keep: Optional[Callable[[S], bool]] = None,
+    stop: Optional[Callable[[S], bool]] = None,
+) -> Search[S]:
+    """BFS closure of ``initial`` under ``step``, expanding at most
+    ``max_steps`` states.  Successors rejected by ``keep`` are dropped;
+    the search ends at the first discovered state ``stop`` accepts."""
+    parents: dict[S, Optional[S]] = {}
+    expanded: dict[S, tuple[S, ...]] = {}
+    queue: deque[S] = deque()
+    cut: Optional[str] = None
+    # the initial states are discovered like the successors of a virtual
+    # root, except that the keep filter does not apply to them
+    parent: Optional[S] = None
+    batch: Iterable[S] = initial
+    while True:
+        for state in batch:
+            if parent is not None and keep is not None and not keep(state):
+                cut = "max-stack"
+                continue
+            if state not in parents:
+                parents[state] = parent
+                if stop is not None and stop(state):
+                    return Search(parents, expanded, state, cut)
+                queue.append(state)
+        if not queue:
+            return Search(parents, expanded, None, cut)
+        if len(expanded) >= max_steps:
+            return Search(parents, expanded, None, "max-steps")
+        parent = queue.popleft()
+        batch = expanded[parent] = tuple(step(parent))
+
+
 def explore(pds: InducedPds, max_steps: int = 100_000, max_stack: int = 64) -> ExploreReport:
     """BFS closure of the initial configurations, bounded by an expansion
     budget and a stack-depth cap."""
     if max_steps < 1 or max_stack < 1:
         raise PdsError("bounds must be at least 1")
-    visited: dict[Configuration, None] = {}
-    queue: deque[Configuration] = deque()
-    truncated = False
-    deadlocks: list[Configuration] = []
-    max_depth = 0
-    for config in pds.initial:
-        if config not in visited:
-            visited[config] = None
-            queue.append(config)
-    expansions = 0
-    while queue:
-        if expansions >= max_steps:
-            truncated = True
-            break
-        config = queue.popleft()
-        expansions += 1
-        max_depth = max(max_depth, config.depth)
-        succ = successors(pds, config)
-        if not succ:
-            deadlocks.append(config)
-        for nxt in succ:
-            if nxt.depth > max_stack:
-                truncated = True
-                continue
-            if nxt not in visited:
-                visited[nxt] = None
-                queue.append(nxt)
-    return ExploreReport(list(visited), deadlocks, truncated, max_depth)
+    search = bounded_search(
+        pds.initial,
+        lambda config: successors(pds, config),
+        max_steps,
+        keep=lambda config: config.depth <= max_stack,
+    )
+    return ExploreReport(
+        list(search.parents),
+        search.deadlocks,
+        search.cut is not None,
+        max((config.depth for config in search.successors), default=0),
+    )
 
 
 def check_invariant(
@@ -282,43 +330,16 @@ def check_invariant(
         raise NonGlobalVariableError(
             f"invariant must be over unprimed globals; offending: {', '.join(bad)}"
         )
-
-    parents: dict[Configuration, Optional[Configuration]] = {}
-    queue: deque[Configuration] = deque()
-
-    def violating(config: Configuration) -> bool:
-        return not bool(eval_expr(phi, config.globals_dict()))
-
-    def trace_to(config: Configuration) -> Trace:
-        chain = [config]
-        while parents[chain[-1]] is not None:
-            chain.append(parents[chain[-1]])
-        return Trace(tuple(reversed(chain)), complete=True)
-
-    for config in pds.initial:
-        if config not in parents:
-            parents[config] = None
-            queue.append(config)
-            if violating(config):
-                return Verdict(False, False, trace_to(config))
-    truncated = False
-    expansions = 0
-    while queue:
-        if expansions >= max_steps:
-            truncated = True
-            break
-        config = queue.popleft()
-        expansions += 1
-        for nxt in successors(pds, config):
-            if nxt.depth > max_stack:
-                truncated = True
-                continue
-            if nxt not in parents:
-                parents[nxt] = config
-                if violating(nxt):
-                    return Verdict(False, False, trace_to(nxt))
-                queue.append(nxt)
-    return Verdict(True, truncated, None)
+    search = bounded_search(
+        pds.initial,
+        lambda config: successors(pds, config),
+        max_steps,
+        keep=lambda config: config.depth <= max_stack,
+        stop=lambda config: not bool(eval_expr(phi, config.globals_dict())),
+    )
+    if search.found is not None:
+        return Verdict(False, False, Trace(search.path_to(search.found), complete=True))
+    return Verdict(True, search.cut is not None, None)
 
 
 def sample_run(pds: InducedPds, length: int, seed: int = 0) -> Trace:

@@ -14,11 +14,10 @@ interpreter here is the oracle that checks exactly that.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
-from .actions import Action, literal
+from .actions import Action, enumerate_valuations, literal
 from .expr import (
     AnyVal,
     Binary,
@@ -40,6 +39,8 @@ from .pds import (
     Configuration,
     InducedPds,
     StackFrame,
+    bounded_search,
+    format_config,
     freeze_env,
     successors as pds_successors,
 )
@@ -58,13 +59,6 @@ STACK_PADDING = "stk_none"
 
 def mangle(proc: str, var: str) -> str:
     return f"{proc}__{var}"
-
-
-@dataclass(frozen=True)
-class StsVar:
-    name: str
-    kind: str  # "node" | "stack" | "scalar"
-    domain: Optional[Domain] = None
 
 
 @dataclass(frozen=True)
@@ -111,13 +105,6 @@ class Sts:
     @property
     def scalar_names(self) -> tuple[str, ...]:
         return tuple(d.name for d in self.globals_decls) + self.locals_order
-
-    @property
-    def variables(self) -> tuple[StsVar, ...]:
-        out = [StsVar("node", "node"), StsVar("stack", "stack")]
-        for name in self.scalar_names:
-            out.append(StsVar(name, "scalar", self.domains[name]))
-        return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -332,25 +319,6 @@ class StsReport:
     truncated: bool
 
 
-def _enumerate_bodies(
-    expr: Expr,
-    written: list[str],
-    pre: Mapping[str, Value],
-    domains: Mapping[str, Domain],
-) -> list[dict[str, Value]]:
-    for name in written:
-        if not domains[name].is_finite:
-            raise StsError(f"variable '{name}' has an unbounded domain")
-    out = []
-    spaces = [list(domains[name].values()) for name in written]
-    for combo in itertools.product(*spaces):
-        candidate = dict(pre)
-        candidate.update(zip(written, combo))
-        if bool(eval_expr(expr, pre, candidate)):
-            out.append(candidate)
-    return out
-
-
 def sts_initial_states(sts: Sts) -> list[StsState]:
     spaces = []
     names = []
@@ -384,25 +352,26 @@ def sts_successors(sts: Sts, state: StsState) -> tuple[list[StsState], bool]:
     for action in sts.actions:
         if not action.skip_source_test and state.node != action.source:
             continue
+        if action.kind == "call" and len(state.stack) + 1 > sts.stack_capacity:
+            overflow_blocked = True
+            continue
+        if action.kind == "return" and not state.stack:
+            continue
         written = sorted(action.body.writes | action.extra_havoc)
+        posts = enumerate_valuations(action.body.expr, written, pre, sts.domains)
         if action.kind == "silent":
-            for env in _enumerate_bodies(action.body.expr, written, pre, sts.domains):
+            for env in posts:
                 emit(StsState(action.target, state.stack, freeze_env(env)))
         elif action.kind == "call":
-            if len(state.stack) + 1 > sts.stack_capacity:
-                overflow_blocked = True
-                continue
             slot: Slot = (
                 action.push_node,
                 tuple(pre[name] for name in sts.locals_order),
             )
-            for env in _enumerate_bodies(action.body.expr, written, pre, sts.domains):
+            for env in posts:
                 emit(StsState(action.target, (slot,) + state.stack, freeze_env(env)))
         else:  # return
-            if not state.stack:
-                continue
             slot_node, snapshot = state.stack[0]
-            for env in _enumerate_bodies(action.body.expr, written, pre, sts.domains):
+            for env in posts:
                 restored = dict(env)
                 restored.update(zip(sts.locals_order, snapshot))
                 emit(StsState(slot_node, state.stack[1:], freeze_env(restored)))
@@ -412,29 +381,20 @@ def sts_successors(sts: Sts, state: StsState) -> tuple[list[StsState], bool]:
 def execute_sts(sts: Sts, max_steps: int = 100_000) -> StsReport:
     """BFS over system states; a state with no successors is a deadlock,
     annotated with whether a stack-capacity overflow caused it."""
-    states: dict[StsState, None] = {}
-    deadlocks: list[tuple[StsState, str]] = []
-    queue: deque[StsState] = deque()
-    for state in sts_initial_states(sts):
-        if state not in states:
-            states[state] = None
-            queue.append(state)
-    truncated = False
-    expansions = 0
-    while queue:
-        if expansions >= max_steps:
-            truncated = True
-            break
-        state = queue.popleft()
-        expansions += 1
+    overflowed: set[StsState] = set()
+
+    def step(state: StsState) -> list[StsState]:
         succ, overflow = sts_successors(sts, state)
-        if not succ:
-            deadlocks.append((state, "stack-overflow" if overflow else "no-enabled-action"))
-        for nxt in succ:
-            if nxt not in states:
-                states[nxt] = None
-                queue.append(nxt)
-    return StsReport(list(states), deadlocks, truncated)
+        if overflow:
+            overflowed.add(state)
+        return succ
+
+    search = bounded_search(sts_initial_states(sts), step, max_steps)
+    deadlocks = [
+        (state, "stack-overflow" if state in overflowed else "no-enabled-action")
+        for state in search.deadlocks
+    ]
+    return StsReport(list(search.parents), deadlocks, search.cut is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +406,7 @@ class EquivalenceVerdict:
     equivalent: bool
     reason: str = ""
     witness: str = ""
+    inconclusive: bool = False
 
     def __bool__(self) -> bool:
         return self.equivalent
@@ -475,22 +436,33 @@ def compare_with_pds(
     max_stack: int = 16,
 ) -> EquivalenceVerdict:
     """Exhaustively check that reachable system states and reachable
-    configurations correspond one-to-one and step together."""
+    configurations correspond one-to-one and step together.  Inconclusive
+    when ``max_steps`` left either state space unexpanded."""
     if max_stack > sts.stack_capacity:
         raise BoundMismatchError(
             f"max_stack {max_stack} exceeds the stack capacity {sts.stack_capacity}"
         )
 
-    from .pds import explore, format_config
-
-    pds_report = explore(pds, max_steps=max_steps, max_stack=max_stack)
-    sts_report = execute_sts(sts, max_steps=max_steps)
+    pds_search = bounded_search(
+        pds.initial,
+        lambda config: pds_successors(pds, config),
+        max_steps,
+        keep=lambda config: config.depth <= max_stack,
+    )
+    sts_search = bounded_search(
+        sts_initial_states(sts), lambda state: sts_successors(sts, state)[0], max_steps
+    )
+    if "max-steps" in (pds_search.cut, sts_search.cut):
+        return EquivalenceVerdict(
+            False, "bound hit before closing the state space", inconclusive=True
+        )
 
     def depth_ok_sts(state: StsState) -> bool:
         return len(state.stack) + 1 <= max_stack
 
-    sts_states = [s for s in sts_report.states if depth_ok_sts(s)]
-    projection: dict[StsState, Configuration] = {s: project_state(sts, s) for s in sts_states}
+    projection: dict[StsState, Configuration] = {
+        s: project_state(sts, s) for s in sts_search.parents if depth_ok_sts(s)
+    }
 
     by_config: dict[Configuration, StsState] = {}
     for state, config in projection.items():
@@ -502,7 +474,7 @@ def compare_with_pds(
             )
         by_config[config] = state
 
-    pds_configs = {c for c in pds_report.visited if c.depth <= max_stack}
+    pds_configs = set(pds_search.parents)
     sts_configs = set(by_config)
     only_pds = pds_configs - sts_configs
     if only_pds:
@@ -514,21 +486,18 @@ def compare_with_pds(
         return EquivalenceVerdict(False, "STS state has no reachable configuration", format_config(witness))
 
     # initial states must coincide
-    init_sts = {project_state(sts, s) for s in sts_initial_states(sts)}
+    init_sts = {projection[s] for s, parent in sts_search.parents.items() if parent is None}
     init_pds = set(pds.initial)
     if init_sts != init_pds:
         diff = init_sts ^ init_pds
         witness = min(diff, key=format_config)
         return EquivalenceVerdict(False, "initial states differ", format_config(witness))
 
-    # the step relations must agree through the projection
-    for state in sts_states:
-        config = projection[state]
-        succ_sts_raw, _ = sts_successors(sts, state)
-        succ_sts = {
-            project_state(sts, s) for s in succ_sts_raw if depth_ok_sts(s)
-        }
-        succ_pds = {c for c in pds_successors(pds, config) if c.depth <= max_stack}
+    # the step relations must agree through the projection; both searches
+    # closed, so every state compared here was expanded
+    for state, config in projection.items():
+        succ_sts = {projection[s] for s in sts_search.successors[state] if depth_ok_sts(s)}
+        succ_pds = {c for c in pds_search.successors[config] if c.depth <= max_stack}
         if succ_sts != succ_pds:
             diff = succ_sts ^ succ_pds
             witness = min(diff, key=format_config) if diff else config

@@ -156,6 +156,14 @@ def test_crosscheck_mutations_divergent(kind):
     assert out.startswith("divergent")
 
 
+def test_crosscheck_truncation_is_inconclusive():
+    # stee has 27 reachable configurations; three expansions close neither
+    # search, so a comparison of the partial frontiers would mean nothing
+    code, out, _ = run_cli("crosscheck", fx("stee"), "--max-steps", "3")
+    assert code == 3
+    assert out.strip() == "inconclusive: bound hit before closing the state space"
+
+
 def test_identical_invocations_identical_bytes():
     first = run_cli("check", fx("mode"), "--invariant", "mode != 2")
     second = run_cli("check", fx("mode"), "--invariant", "mode != 2")

@@ -48,8 +48,6 @@ def test_stee_action_inventory(stee):
 
 def test_stee_variables(stee):
     sts = sts_of_flow_graph(stee)
-    kinds = [v.kind for v in sts.variables]
-    assert kinds.count("node") == 1 and kinds.count("stack") == 1
     assert sts.scalar_names == (
         "primary_ok",
         "sndary_active",
