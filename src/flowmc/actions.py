@@ -9,6 +9,7 @@ engine and the symbolic backends consume nothing else.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -19,11 +20,13 @@ from .expr import (
     BoolLit,
     Domain,
     Expr,
+    ExprError,
     IntLit,
     OldRef,
     Value,
     VarRef,
     conj,
+    conjuncts,
     eval_expr,
     free_vars,
     map_vars,
@@ -101,6 +104,24 @@ class Action:
     def __str__(self) -> str:
         return self.describe or to_str(self.expr)
 
+    @functools.cached_property
+    def pins(self) -> dict[str, tuple[Expr, ...]]:
+        """The top-level conjuncts ``v' == rhs`` whose ``rhs`` reads only
+        the pre-state and is not ``any(...)``: variable -> right-hand sides.
+        Derived on first use, since most actions are never enumerated."""
+        pins: dict[str, tuple[Expr, ...]] = {}
+        for part in conjuncts(self.expr):
+            if (
+                isinstance(part, Binary)
+                and part.op == "=="
+                and isinstance(part.left, VarRef)
+                and part.left.primed
+                and not isinstance(part.right, AnyVal)
+                and not free_vars(part.right)[1]
+            ):
+                pins[part.left.name] = pins.get(part.left.name, ()) + (part.right,)
+        return pins
+
 
 def id_action(vars: frozenset[str] | set[str]) -> Action:
     """Identity on ``vars``: the conjunction of x' = x; constant true when empty."""
@@ -175,28 +196,53 @@ def eval_action(action: Action, pre: State, post: State) -> bool:
     return bool(eval_expr(action.expr, pre.env(), post.env()))
 
 
+def _same_value(a: Value, b: Value) -> bool:
+    """Equality on values that never takes a bool for an int."""
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
 def enumerate_valuations(
-    expr: Expr,
+    action: Action,
     written: list[str],
     pre: Mapping[str, Value],
     domains: Mapping[str, Domain],
 ) -> list[dict[str, Value]]:
     """All valuations that agree with ``pre`` outside ``written`` and
-    satisfy ``expr`` read as a relation from ``pre``.  Deterministic order:
-    lexicographic in the order of ``written``, then by domain value."""
+    satisfy ``action`` read as a relation from ``pre``.  Deterministic
+    order: lexicographic in the order of ``written``, then by domain value.
+
+    Each written variable ranges only over the domain values equal to
+    every one of its pins (``Action.pins``) evaluated on ``pre``, so an
+    out-of-range update leaves no candidate.  A pin whose right-hand side
+    fails to evaluate is ignored, and the error surfaces from the full
+    expression as it would without pins.  Every remaining candidate is
+    checked against the whole expression.  Candidates a pin rules out are
+    never evaluated, so an evaluation error that only they would raise is
+    not raised."""
+    spaces = []
     for name in written:
         domain = domains.get(name)
         if domain is None:
             raise ActionError(f"no declared domain for written variable '{name}'")
         if not domain.is_finite:
             raise InfiniteDomainError(f"written variable '{name}' has an unbounded domain")
+        allowed = None  # the whole domain, until a pin narrows it
+        for rhs in action.pins.get(name, ()):
+            try:
+                want = eval_expr(rhs, pre)
+            except ExprError:
+                continue
+            if allowed is None:
+                allowed = [want] if domain.contains(want) else []
+            else:
+                allowed = [v for v in allowed if _same_value(v, want)]
+        spaces.append(list(domain.values()) if allowed is None else allowed)
 
     out: list[dict[str, Value]] = []
-    spaces = [list(domains[name].values()) for name in written]
     for combo in itertools.product(*spaces):
         candidate = dict(pre)
         candidate.update(zip(written, combo))
-        if bool(eval_expr(expr, pre, candidate)):
+        if bool(eval_expr(action.expr, pre, candidate)):
             out.append(candidate)
     return out
 
@@ -208,14 +254,17 @@ def enumerate_posts(
 ) -> list[State]:
     """All post states reachable from ``pre``: candidates agree with ``pre``
     outside ``action.writes`` and satisfy the action.  Deterministic order,
-    lexicographic by variable name then value."""
+    lexicographic by variable name then value.  Candidates are narrowed by
+    the action's pins first (see ``enumerate_valuations``), so an
+    evaluation error that only a pinned-out candidate would raise is not
+    raised."""
     local_names = {name for name, _ in pre.locals}
     return [
         State.make(
             {k: v for k, v in post.items() if k in local_names},
             {k: v for k, v in post.items() if k not in local_names},
         )
-        for post in enumerate_valuations(action.expr, sorted(action.writes), pre.env(), domains)
+        for post in enumerate_valuations(action, sorted(action.writes), pre.env(), domains)
     ]
 
 

@@ -23,7 +23,7 @@ from typing import Callable, Generic, Hashable, Iterable, Mapping, Optional, Typ
 
 from .actions import Action, InfiniteDomainError, State, enumerate_posts
 from .expr import Domain, Expr, Value, eval_expr, free_vars
-from .flowgraph import FlowGraph
+from .flowgraph import FlowEdge, FlowGraph
 
 
 class PdsError(Exception):
@@ -137,6 +137,8 @@ class InducedPds:
     initial: list[Configuration]
     _proc_of_node: dict[str, str] = field(default_factory=dict)
     _domains: dict[str, dict[str, Domain]] = field(default_factory=dict)
+    # node -> its outgoing edges, sorted by (dst, label)
+    _edges_from: dict[str, list[FlowEdge]] = field(default_factory=dict)
 
     def proc_of(self, node: str) -> str:
         try:
@@ -185,7 +187,11 @@ def induce(fg: FlowGraph) -> InducedPds:
                     raise InfiniteDomainError(
                         f"node '{node}' writes unbounded variable '{name}'"
                     )
-    return InducedPds(fg, initial, proc_of_node, domains)
+    edges_from: dict[str, list[FlowEdge]] = {node: [] for node in proc_of_node}
+    for proc in fg.procedures.values():
+        for edge in sorted(proc.edges, key=lambda e: (e.dst, e.label or "")):
+            edges_from[edge.src].append(edge)
+    return InducedPds(fg, initial, proc_of_node, domains, edges_from)
 
 
 def successors(pds: InducedPds, config: Configuration) -> list[Configuration]:
@@ -212,11 +218,7 @@ def successors(pds: InducedPds, config: Configuration) -> list[Configuration]:
             seen.add(key)
             out.append(c)
 
-    edges = sorted(
-        (e for e in proc.edges if e.src == top.node),
-        key=lambda e: (e.dst, e.label or ""),
-    )
-    for edge in edges:
+    for edge in pds._edges_from[top.node]:
         for post in posts:
             if edge.label is None:
                 frame = StackFrame(edge.dst, post.locals)
@@ -356,13 +358,17 @@ def sample_run(pds: InducedPds, length: int, seed: int = 0) -> Trace:
     rng = random.Random(seed)
     current = pds.initial[rng.randrange(len(pds.initial))]
     configs = [current]
+    succ: Optional[list[Configuration]] = None
     while len(configs) < length:
-        succ = successors(pds, current)
+        if succ is None:
+            succ = successors(pds, current)
         if not succ:
             return Trace(tuple(configs), complete=False)
-        alive = [s for s in succ if successors(pds, s)]
-        pool = alive or succ
-        current = pool[rng.randrange(len(pool))]
+        # the successors of every candidate, kept for the one picked
+        following = [successors(pds, s) for s in succ]
+        pool = [i for i, f in enumerate(following) if f] or range(len(succ))
+        pick = pool[rng.randrange(len(pool))]
+        current, succ = succ[pick], following[pick]
         configs.append(current)
     return Trace(tuple(configs), complete=True)
 

@@ -358,7 +358,7 @@ def sts_successors(sts: Sts, state: StsState) -> tuple[list[StsState], bool]:
         if action.kind == "return" and not state.stack:
             continue
         written = sorted(action.body.writes | action.extra_havoc)
-        posts = enumerate_valuations(action.body.expr, written, pre, sts.domains)
+        posts = enumerate_valuations(action.body, written, pre, sts.domains)
         if action.kind == "silent":
             for env in posts:
                 emit(StsState(action.target, state.stack, freeze_env(env)))
