@@ -7,6 +7,13 @@ target, stack effect) triples so tests can confirm that.  Emitted files
 carry a header comment with the toolkit version and a digest of the
 source IR; ``normalize_emitted`` strips it for golden comparisons.
 
+Wide models repeat the same stack clauses in every call and return
+action, so the cost of each step follows the distinct text, not its
+repetitions: ``emit_nuxmv`` renders the shared clauses once per model,
+the grammar checks ``check_tla_text`` and ``check_nuxmv_text`` read the
+text in one pass and look at each distinct line or conjunct once, and
+the structure scanners index every definition in one pass.
+
 Integer division and modulus print as the backend's native operators,
 whose rounding conventions differ from the evaluator's C-style
 truncation; models meant for cross-checking should avoid them.
@@ -15,6 +22,7 @@ truncation; models meant for cross-checking should avoid them.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -101,13 +109,18 @@ def _header(comment: str, opts: EmitterOptions) -> list[str]:
     return lines
 
 
-def normalize_emitted(text: str) -> str:
-    """Strip the leading header comment lines (``\\*``, ``--`` or ``//``)."""
+def _emitted_lines(text: str) -> list[str]:
+    """The lines of ``text`` after its leading header comment lines."""
     lines = text.splitlines()
     index = 0
     while index < len(lines) and lines[index].startswith(("\\*", "--", "//")):
         index += 1
-    return "\n".join(lines[index:]) + "\n"
+    return lines[index:]
+
+
+def normalize_emitted(text: str) -> str:
+    """Strip the leading header comment lines (``\\*``, ``--`` or ``//``)."""
+    return "\n".join(_emitted_lines(text)) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +383,9 @@ def emit_nuxmv(sts: Sts, opts: EmitterOptions = EmitterOptions()) -> str:
     stack_same = " & ".join([f"next(depth) = depth"] + [f"next({c}) = {c}" for c in cells])
     lines.append(f"  stack_unchanged := {stack_same};")
 
+    call_cells, pop = _smv_stack_clauses(sts)
     for action in sts.actions:
-        lines.append(f"  {action.name} := {_smv_action(sts, action)};")
+        lines.append(f"  {action.name} := {_smv_action(sts, action, call_cells, pop)};")
 
     init_parts = [f"node = {sts.init.node}", "depth = 0"]
     for i in range(cap):
@@ -391,9 +405,41 @@ def emit_nuxmv(sts: Sts, opts: EmitterOptions = EmitterOptions()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _smv_action(sts: Sts, action: StsAction) -> str:
+def _smv_stack_clauses(sts: Sts) -> tuple[str, str]:
+    """The stack conjuncts that do not depend on the action, each joined
+    once per model: (the local cells every call saves, the whole stack
+    part of every return).  Wide models repeat them in thousands of
+    actions, so rendering them per action dominated the emitter."""
     cap = sts.stack_capacity
+    init_local = dict(sts.init.locals_values)
+    call_cells = " & ".join(
+        f"next(st_{local}_{i}) = (case depth = {i} : {local}; TRUE : st_{local}_{i}; esac)"
+        for local in sts.locals_order
+        for i in range(cap)
+    )
+    pop = ["depth > 0", "next(depth) = depth - 1"]
+    branches = "".join(f"depth = {i + 1} : st_node_{i}; " for i in range(cap))
+    pop.append(f"next(node) = (case {branches}TRUE : node; esac)")
+    for local in sts.locals_order:
+        branches = "".join(f"depth = {i + 1} : st_{local}_{i}; " for i in range(cap))
+        pop.append(f"next({local}) = (case {branches}TRUE : {local}; esac)")
+    for i in range(cap):
+        pop.append(
+            f"next(st_node_{i}) = (case depth = {i + 1} : {STACK_PADDING}; "
+            f"TRUE : st_node_{i}; esac)"
+        )
+    for local in sts.locals_order:
+        initial = render_smv(literal(init_local[local]))
+        for i in range(cap):
+            pop.append(
+                f"next(st_{local}_{i}) = (case depth = {i + 1} : {initial}; "
+                f"TRUE : st_{local}_{i}; esac)"
+            )
+    return call_cells, " & ".join(pop)
 
+
+def _smv_action(sts: Sts, action: StsAction, call_cells: str, pop: str) -> str:
+    """``call_cells`` and ``pop`` come from :func:`_smv_stack_clauses`."""
     parts: list[str] = []
     if not action.skip_source_test:
         parts.append(f"node = {action.source}")
@@ -404,38 +450,15 @@ def _smv_action(sts: Sts, action: StsAction) -> str:
         parts.append(f"next(node) = {action.target}")
         parts.append("depth < STACK_CAPACITY")
         parts.append("next(depth) = depth + 1")
-        for i in range(cap):
+        for i in range(sts.stack_capacity):
             parts.append(
                 f"next(st_node_{i}) = (case depth = {i} : {action.push_node}; "
                 f"TRUE : st_node_{i}; esac)"
             )
-        for local in sts.locals_order:
-            for i in range(cap):
-                parts.append(
-                    f"next(st_{local}_{i}) = (case depth = {i} : {local}; "
-                    f"TRUE : st_{local}_{i}; esac)"
-                )
+        if call_cells:
+            parts.append(call_cells)
     else:
-        init_local = dict(sts.init.locals_values)
-        parts.append("depth > 0")
-        parts.append("next(depth) = depth - 1")
-        branches = "".join(f"depth = {i + 1} : st_node_{i}; " for i in range(cap))
-        parts.append(f"next(node) = (case {branches}TRUE : node; esac)")
-        for local in sts.locals_order:
-            branches = "".join(f"depth = {i + 1} : st_{local}_{i}; " for i in range(cap))
-            parts.append(f"next({local}) = (case {branches}TRUE : {local}; esac)")
-        for i in range(cap):
-            parts.append(
-                f"next(st_node_{i}) = (case depth = {i + 1} : {STACK_PADDING}; "
-                f"TRUE : st_node_{i}; esac)"
-            )
-        for local in sts.locals_order:
-            initial = render_smv(literal(init_local[local]))
-            for i in range(cap):
-                parts.append(
-                    f"next(st_{local}_{i}) = (case depth = {i + 1} : {initial}; "
-                    f"TRUE : st_{local}_{i}; esac)"
-                )
+        parts.append(pop)
     for part in conjuncts(action.body.expr):
         if part == TRUE:
             continue
@@ -486,21 +509,32 @@ def emit_dot(fg: FlowGraph, opts: EmitterOptions = EmitterOptions()) -> str:
 
 # ---------------------------------------------------------------------------
 # Structural scanners (parity checks between the two backends)
+#
+# Each scanner indexes every definition in one pass over the lines, then
+# parses each action's body once, so its cost is linear in the text.
 
 
 def scan_tla_structure(text: str) -> dict[str, tuple[str, Optional[str], str, Optional[str]]]:
     """Action name -> (source, target, stack effect, pushed node)."""
-    text = normalize_emitted(text)
-    next_match = re.search(r"^Next == (.+)$", text, re.M)
-    if not next_match:
+    lines = _emitted_lines(text)
+    names = None
+    blocks: dict[str, str] = {}  # the first "<name> ==" line followed by conjunct lines
+    for index, line in enumerate(lines):
+        if names is None and line.startswith("Next == ") and len(line) > 8:
+            names = [n.strip() for n in line[8:].split("\\/")]
+        if line.endswith(" ==") and line[:-3] not in blocks:
+            end = index + 1
+            while end < len(lines) and lines[end].startswith("  /\\ "):
+                end += 1
+            if end > index + 1:
+                blocks[line[:-3]] = "\n".join(lines[index + 1:end]) + "\n"
+    if names is None:
         raise EmitError("no Next definition found")
-    names = [n.strip() for n in next_match.group(1).split("\\/")]
     out = {}
     for name in names:
-        block = re.search(rf"^{re.escape(name)} ==\n((?:  /\\ .*\n)+)", text, re.M)
-        if not block:
+        body = blocks.get(name)
+        if body is None:
             raise EmitError(f"no definition found for action {name!r}")
-        body = block.group(1)
         source = re.search(r'node = "([^"]+)"', body)
         target = re.search(r"node' = \"([^\"]+)\"", body)
         pushed = re.search(r"stack_nodes' = <<\"([^\"]+)\">> \\o stack_nodes", body)
@@ -521,17 +555,26 @@ def scan_tla_structure(text: str) -> dict[str, tuple[str, Optional[str], str, Op
 
 def scan_nuxmv_structure(text: str) -> dict[str, tuple[str, Optional[str], str, Optional[str]]]:
     """Same shape as :func:`scan_tla_structure`, from the nuXmv text."""
-    text = normalize_emitted(text)
-    trans_match = re.search(r"^TRANS\n  (.+);$", text, re.M)
-    if not trans_match:
+    lines = _emitted_lines(text)
+    names = None
+    defines: dict[str, str] = {}  # the first "  <name> := <body>;" line
+    for index, line in enumerate(lines):
+        if (names is None and line == "TRANS" and index + 1 < len(lines)
+                and re.match(r"  .+;\Z", lines[index + 1])):
+            names = [n.strip() for n in lines[index + 1][2:-1].split("|")]
+        if not (line.startswith("  ") and line.endswith(";")):
+            continue
+        at = line.find(" := ", 2)
+        while at != -1 and at + 4 < len(line):
+            defines.setdefault(line[2:at], line[at + 4:-1])
+            at = line.find(" := ", at + 1)
+    if names is None:
         raise EmitError("no TRANS section found")
-    names = [n.strip() for n in trans_match.group(1).split("|")]
     out = {}
     for name in names:
-        define = re.search(rf"^  {re.escape(name)} := (.*);$", text, re.M)
-        if not define:
+        body = defines.get(name)
+        if body is None:
             raise EmitError(f"no define found for action {name!r}")
-        body = define.group(1)
         source = re.search(r"(?<!next\()\bnode = (\w+)", body)
         target = re.search(r"next\(node\) = (\w+)(?! ?=)", body)
         if "next(depth) = depth + 1" in body:
@@ -553,6 +596,17 @@ def scan_nuxmv_structure(text: str) -> dict[str, tuple[str, Optional[str], str, 
 
 # ---------------------------------------------------------------------------
 # Grammar smoke checks
+#
+# Both checks read the text once, line by line, and look at each distinct
+# piece of it once: a TLA+ line, or a " & "-separated conjunct of a nuXmv
+# line.  The set of declared names only grows as the scan moves down, so a
+# piece whose names were all declared at its first occurrence is valid at
+# every later one.  Identifiers, delimiters, ``next(x)`` and ``x'`` never
+# cross a newline or a " & " separator, so the delimiter counts are sums
+# over the distinct pieces, weighted by how often each occurs.  The checks
+# report the same error as a scan of the whole text in this order:
+# unbalanced delimiters, forbidden tokens, the first undeclared identifier
+# in text order, then the first undeclared prime or next() target.
 
 
 _TLA_KEYWORDS = {
@@ -564,69 +618,125 @@ _SMV_KEYWORDS = {
     "MODULE", "main", "VAR", "DEFINE", "INIT", "TRANS", "next", "case", "esac",
     "TRUE", "FALSE", "boolean", "integer", "mod",
 }
+_TLA_MODULE_RE = re.compile(r"^-+ MODULE (\w+) -+$")
+_TLA_HEADER_RE = re.compile(r"^(CONSTANTS|VARIABLES) (.+)$")
+_TLA_DEFINITION_RE = re.compile(r"^(\w+) ==")
+_TLA_STRING_RE = re.compile(r'"[^"]*"')
+_TLA_OPERATOR_RE = re.compile(r"\\[A-Za-z]+")
+_TLA_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+# every match of (\w+)' starts at a word boundary; saying so saves the
+# regex engine from retrying inside every word
+_TLA_PRIME_RE = re.compile(r"\b(\w+)'")
+_SMV_VAR_RE = re.compile(r"^  (\w+) : (.+);$")
+_SMV_DEFINE_RE = re.compile(r"^  (\w+) := ")
+_SMV_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_SMV_NEXT_RE = re.compile(r"next\((\w+)\)")
 
 
-def _check_balance(text: str, pairs: list[tuple[str, str]], label: str) -> None:
+def _by_occurrences(pieces: Counter[str]) -> dict[int, str]:
+    """The distinct pieces grouped by how often each occurs in the text,
+    each group joined by newlines, which no token straddles."""
+    groups: dict[int, list[str]] = {}
+    for piece, n in pieces.items():
+        groups.setdefault(n, []).append(piece)
+    return {n: "\n".join(group) for n, group in groups.items()}
+
+
+def _count(groups: dict[int, str], token: str) -> int:
+    """Occurrences of ``token`` in the text that ``groups`` describes."""
+    return sum(text.count(token) * n for n, text in groups.items())
+
+
+def _check_balance(groups: dict[int, str], pairs: list[tuple[str, str]], label: str) -> None:
     for open_tok, close_tok in pairs:
-        if text.count(open_tok) != text.count(close_tok):
+        if _count(groups, open_tok) != _count(groups, close_tok):
             raise EmitError(f"unbalanced {open_tok!r}/{close_tok!r} in {label} output")
+
+
+def _first_undeclared(idents: list[str], declared: set[str]) -> Optional[str]:
+    return next((ident for ident in idents if ident not in declared), None)
+
+
+def _check_targets(targets: dict[str, None], declared: set[str], message: str) -> None:
+    """``targets`` holds the primed or ``next()`` names in the order they
+    first occur; every occurrence is judged against the final ``declared``."""
+    for target in targets:
+        if target not in declared:
+            raise EmitError(f"{message} {target!r}")
 
 
 def check_tla_text(text: str) -> None:
     """Balanced delimiters, declared-before-used names, prime discipline."""
-    body = normalize_emitted(text)
-    _check_balance(body, [("(", ")"), ("<<", ">>"), ("{", "}")], "TLA+")
-    if "next(" in body:
-        raise EmitError("TLA+ output must not use next(...)")
+    lines = Counter(_emitted_lines(text))  # each distinct line, in text order
     declared: set[str] = set(_TLA_KEYWORDS)
-    for line in body.splitlines():
-        module = re.match(r"^-+ MODULE (\w+) -+$", line)
+    primed: dict[str, None] = {}
+    undeclared = None  # the first identifier used before its declaration
+    for line in lines:
+        primed.update(dict.fromkeys(_TLA_PRIME_RE.findall(line)))
+        module = _TLA_MODULE_RE.match(line)
         if module:
             declared.add(module.group(1))
             continue
-        header = re.match(r"^(CONSTANTS|VARIABLES) (.+)$", line)
+        header = _TLA_HEADER_RE.match(line)
         if header:
             declared.update(n.strip() for n in header.group(2).split(","))
             continue
-        definition = re.match(r"^(\w+) ==", line)
+        definition = _TLA_DEFINITION_RE.match(line)
         if definition:
             declared.add(definition.group(1))
-        scrubbed = re.sub(r"\\[A-Za-z]+", " ", re.sub(r'"[^"]*"', "", line))
-        for ident in re.findall(r"[A-Za-z][A-Za-z0-9_]*", scrubbed):
-            if ident not in declared and not ident.isdigit():
-                raise EmitError(f"identifier {ident!r} used before declaration")
-    for match in re.finditer(r"(\w+)'", body):
-        if match.group(1) not in declared:
-            raise EmitError(f"prime applied to undeclared {match.group(1)!r}")
+        scrubbed = _TLA_OPERATOR_RE.sub(" ", _TLA_STRING_RE.sub("", line))
+        undeclared = _first_undeclared(_TLA_IDENT_RE.findall(scrubbed), declared)
+        if undeclared is not None:
+            break
+    groups = _by_occurrences(lines)
+    _check_balance(groups, [("(", ")"), ("<<", ">>"), ("{", "}")], "TLA+")
+    if _count(groups, "next("):
+        raise EmitError("TLA+ output must not use next(...)")
+    if undeclared is not None:
+        raise EmitError(f"identifier {undeclared!r} used before declaration")
+    _check_targets(primed, declared, "prime applied to undeclared")
 
 
 def check_nuxmv_text(text: str) -> None:
     """Balanced delimiters, declared-before-used names, next() discipline."""
-    body = normalize_emitted(text)
-    _check_balance(body, [("(", ")"), ("{", "}")], "nuXmv")
-    if body.count("case") != body.count("esac"):
-        raise EmitError("unbalanced case/esac in nuXmv output")
-    if "'" in body:
-        raise EmitError("nuXmv output must not use primes")
+    pieces: Counter[str] = Counter()  # each VAR line and conjunct -> its occurrences
+    passed: set[str] = set()  # the conjuncts whose names were all declared
     declared: set[str] = set(_SMV_KEYWORDS)
-    for line in body.splitlines():
-        var_decl = re.match(r"^  (\w+) : (.+);$", line)
+    nexts: dict[str, None] = {}
+    undeclared = None  # the first identifier used before its declaration
+    for line in _emitted_lines(text):
+        var_decl = _SMV_VAR_RE.match(line)
         if var_decl:
+            pieces[line] += 1
+            nexts.update(dict.fromkeys(_SMV_NEXT_RE.findall(line)))
             declared.add(var_decl.group(1))
-            for value in re.findall(r"[A-Za-z_][A-Za-z0-9_]*", var_decl.group(2)):
-                declared.add(value)  # enum literals
+            declared.update(_SMV_IDENT_RE.findall(var_decl.group(2)))  # enum literals
             continue
-        define = re.match(r"^  (\w+) := ", line)
+        define = _SMV_DEFINE_RE.match(line)
+        checked = line
         if define:
-            # rhs may reference the name being defined only afterwards
-            for ident in re.findall(r"[A-Za-z_][A-Za-z0-9_]*", line.split(":=", 1)[1]):
-                if ident not in declared and not ident.isdigit():
-                    raise EmitError(f"identifier {ident!r} used before declaration")
+            # the right-hand side may reference the name being defined only
+            # afterwards; the left-hand side is a bare name, which is
+            # counted (it may contain "case") but not checked
+            lhs, checked = line.split(":=", 1)
+            pieces[lhs] += 1
+        parts = checked.split(" & ")
+        pieces.update(parts)
+        fresh = [part for part in parts if part not in passed]
+        if fresh and undeclared is None:
+            # nothing the patterns match straddles the separator
+            joined = " & ".join(fresh)
+            undeclared = _first_undeclared(_SMV_IDENT_RE.findall(joined), declared)
+            nexts.update(dict.fromkeys(_SMV_NEXT_RE.findall(joined)))
+            passed.update(fresh)
+        if define:
             declared.add(define.group(1))
-            continue
-        for ident in re.findall(r"[A-Za-z_][A-Za-z0-9_]*", line):
-            if ident not in declared and not ident.isdigit():
-                raise EmitError(f"identifier {ident!r} used before declaration")
-    for match in re.finditer(r"next\((\w+)\)", body):
-        if match.group(1) not in declared:
-            raise EmitError(f"next() applied to undeclared {match.group(1)!r}")
+    groups = _by_occurrences(pieces)
+    _check_balance(groups, [("(", ")"), ("{", "}")], "nuXmv")
+    if _count(groups, "case") != _count(groups, "esac"):
+        raise EmitError("unbalanced case/esac in nuXmv output")
+    if _count(groups, "'"):
+        raise EmitError("nuXmv output must not use primes")
+    if undeclared is not None:
+        raise EmitError(f"identifier {undeclared!r} used before declaration")
+    _check_targets(nexts, declared, "next() applied to undeclared")

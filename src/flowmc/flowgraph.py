@@ -11,6 +11,7 @@ main procedure's return node so terminating executions stutter.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -86,28 +87,34 @@ class FlowGraph:
 
 
 def _abbreviations(names: list[str]) -> dict[str, str]:
-    """Shortest prefix of each name that is unique among all names.
+    """Shortest prefix of each name that is unique among all (distinct)
+    names.
 
-    Node ids are ``n_<abbrev><k>``, so an abbreviation that ends in a digit
-    or prefixes another one would make ids ambiguous; such names fall back
-    to ``<name>_`` (translate asserts global uniqueness regardless).
+    A prefix is shared with another name exactly when it is no longer than
+    their common prefix, and in sorted order a name's longest common prefix
+    with any other is one with a neighbour.  Node ids are
+    ``n_<abbrev><k>``, so an abbreviation that ends in a digit or prefixes
+    another one would make ids ambiguous; such names fall back to
+    ``<name>_`` (translate asserts global uniqueness regardless).
     """
-    out: dict[str, str] = {}
-    for name in names:
-        for length in range(1, len(name) + 1):
-            prefix = name[:length]
-            if sum(1 for other in names if other.startswith(prefix)) == 1:
-                out[name] = prefix
-                break
-        else:
-            out[name] = name
-    ambiguous = {
-        name
-        for name, abbrev in out.items()
-        if abbrev[-1].isdigit()
-        or any(o != abbrev and o.startswith(abbrev) for o in out.values())
-        or any(o != abbrev and abbrev.startswith(o) for o in out.values())
-    }
+    ordered = sorted(names)
+    shared = dict.fromkeys(ordered, 0)  # longest prefix shared with another name
+    for a, b in zip(ordered, ordered[1:]):
+        common = len(os.path.commonprefix([a, b]))
+        shared[a] = max(shared[a], common)
+        shared[b] = max(shared[b], common)
+    out = {name: name[: shared[name] + 1] for name in names}
+    owner = {abbrev: name for name, abbrev in out.items()}
+    ambiguous = {name for name, abbrev in out.items() if abbrev[-1].isdigit()}
+    # in sorted order, the abbreviations that prefix the current one form
+    # a chain of nested prefixes just before it
+    chain: list[str] = []
+    for abbrev in sorted(owner):
+        while chain and not abbrev.startswith(chain[-1]):
+            chain.pop()
+        if chain:
+            ambiguous.update((owner[chain[-1]], owner[abbrev]))
+        chain.append(abbrev)
     for name in ambiguous:
         out[name] = f"{name}_"
     return out

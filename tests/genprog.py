@@ -224,3 +224,71 @@ def random_program(seed: int) -> AnnotatedProgram:
         globals=tuple(globals_decls),
         init_globals=init_globals,
     )
+
+
+def wide_program(seed: int, procs: int) -> AnnotatedProgram:
+    """``procs`` procedures in a call tree under main, at most two callees
+    each, every one with a bool and an int local and ending in a call to
+    a contracted leaf that havocs a global.  This is the shape of the
+    benchmark's ``wide_emit`` workload: its models repeat the same stack
+    clauses in every call and return action, and procedure names share
+    long prefixes and end in digits."""
+    rng = random.Random(seed)
+    g = VarDecl("g", SMALL)
+    leaf = AnnotatedProcedure(
+        name="leaf",
+        locals=(),
+        init_locals={},
+        blocks={
+            "b1": AnnotatedBlock(
+                points=("r",),
+                stmts={"r": Return()},
+                edges=(),
+                guards={},
+                entry="r",
+                exit="r",
+                contract=Contract("spec", TRUE, TRUE, ("g",)),
+            )
+        },
+        entry_block="b1",
+    )
+    workers = [f"w{i}" for i in range(1, procs)]
+    children: dict[str, list[str]] = {"w0": []}
+    for index, name in enumerate(workers):
+        children[f"w{index // 2}"].append(name)
+        children[name] = []
+
+    u, k = VarDecl("u", BOOL), VarDecl("k", SMALL)
+    scope = [g, u, k]
+    procedures: dict[str, AnnotatedProcedure] = {}
+    for name, calls in children.items():
+        points = ["e", "a"] + [f"c{i}" for i in range(len(calls))] + ["h", "r"]
+        stmts = {"e": Assign("k", IntLit(rng.randint(0, 2))),
+                 "a": _statement(rng, scope, []),
+                 "h": Call("leaf"),
+                 "r": Return()}
+        stmts.update({f"c{i}": Call(callee) for i, callee in enumerate(calls)})
+        procedures[name] = AnnotatedProcedure(
+            name=name,
+            locals=(u, k),
+            init_locals={"u": False, "k": 0},
+            blocks={
+                "b1": AnnotatedBlock(
+                    points=tuple(points),
+                    stmts=stmts,
+                    edges=tuple(zip(points, points[1:])),
+                    guards={},
+                    entry="e",
+                    exit="r",
+                )
+            },
+            entry_block="b1",
+        )
+    procedures["leaf"] = leaf
+    return AnnotatedProgram(
+        name=f"wide{seed}",
+        procedures=procedures,
+        main="w0",
+        globals=(g,),
+        init_globals=Binary("==", VarRef("g"), IntLit(0)),
+    )

@@ -3,9 +3,10 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import fixture_text, load_flow_graph, load_program
-from genprog import random_program
+from genprog import random_program, wide_program
 
 from flowmc.actions import action_of_contract, action_of_guard, conjoin, id_action
 from flowmc.expr import Domain, parse_expr
@@ -13,6 +14,7 @@ from flowmc.flowgraph import (
     FlowEdge,
     TranslateError,
     UnknownProcedureError,
+    _abbreviations,
     check_totality,
     reachable_nodes,
     translate,
@@ -299,3 +301,55 @@ def test_recursive_procedure_translates():
     fg = load_flow_graph("recur")
     assert check_totality(fg) == []
     assert set(fg.procedures) == {"main", "down"}
+
+
+def reference_abbreviations(names):
+    """The quadratic original of ``flowgraph._abbreviations``."""
+    out = {}
+    for name in names:
+        for length in range(1, len(name) + 1):
+            prefix = name[:length]
+            if sum(1 for other in names if other.startswith(prefix)) == 1:
+                out[name] = prefix
+                break
+        else:
+            out[name] = name
+    ambiguous = {
+        name
+        for name, abbrev in out.items()
+        if abbrev[-1].isdigit()
+        or any(o != abbrev and o.startswith(abbrev) for o in out.values())
+        or any(o != abbrev and abbrev.startswith(o) for o in out.values())
+    }
+    for name in ambiguous:
+        out[name] = f"{name}_"
+    return out
+
+
+# few letters and digits, so lists are full of shared prefixes, names that
+# prefix other names, and names ending in digits
+_names = st.lists(st.text(alphabet="ab1_", min_size=1, max_size=5), unique=True, max_size=12)
+
+
+@settings(max_examples=500, derandomize=True)
+@given(_names)
+def test_abbreviations_match_reference(names):
+    out = _abbreviations(names)
+    expected = reference_abbreviations(names)
+    assert out == expected
+    assert list(out) == list(expected)
+
+
+@pytest.mark.parametrize(
+    "names",
+    [["a", "ab", "abc"], ["w1", "w10", "w2"], ["x", "x1", "y"], ["ab", "ab_", "b"],
+     ["main", "steering", "sensor"], [f"w{i:03d}_abc" for i in range(122)]],
+)
+def test_abbreviations_named_cases(names):
+    assert _abbreviations(names) == reference_abbreviations(names)
+
+
+def test_wide_program_node_ids_are_unique():
+    fg = translate(wide_program(0, 12))
+    nodes = [n for proc in fg.procedures.values() for n in proc.nodes]
+    assert len(nodes) == len(set(nodes))
