@@ -256,8 +256,8 @@ def enumerate_posts(
     outside ``action.writes`` and satisfy the action.  Deterministic order,
     lexicographic by variable name then value.  Candidates are narrowed by
     the action's pins first (see ``enumerate_valuations``), so an
-    evaluation error that only a pinned-out candidate would raise is not
-    raised."""
+    evaluation error that only a candidate the pins rule out would raise
+    is not raised."""
     local_names = {name for name, _ in pre.locals}
     return [
         State.make(

@@ -95,7 +95,7 @@ def cmd_abstract(args: argparse.Namespace) -> int:
     )
     print(summary)
     if args.dot:
-        opts = EmitterOptions(source_digest=digest, toolkit_version=__version__)
+        opts = EmitterOptions(source_digest=digest)
         Path(args.dot).write_text(emit_dot(fg, opts), encoding="utf-8")
         print(f"wrote {args.dot}")
     return OK
@@ -135,7 +135,7 @@ def cmd_emit(args: argparse.Namespace) -> int:
     result, digest = _load(args.input)
     _require_valid(result)
     fg = _abstract(result)
-    opts = EmitterOptions(source_digest=digest, toolkit_version=__version__)
+    opts = EmitterOptions(source_digest=digest)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -219,10 +219,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"flowmc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_bounds(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--max-steps", type=int, default=100_000)
-        p.add_argument("--max-stack", type=int, default=64)
-        p.add_argument("--stack-capacity", type=int, default=10)
+    bounds = {"--max-steps": 100_000, "--max-stack": 64, "--stack-capacity": 10}
+
+    def add_bounds(p: argparse.ArgumentParser, *flags: str) -> None:
+        for flag in flags:
+            p.add_argument(flag, type=int, default=bounds[flag])
 
     p = sub.add_parser("validate", help="parse and validate a .apg file")
     p.add_argument("input")
@@ -236,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="explicit-state invariant check")
     p.add_argument("input")
     p.add_argument("--invariant", required=True, help="boolean expression over globals")
-    add_bounds(p)
+    add_bounds(p, "--max-steps", "--max-stack")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("emit", help="write a backend model")
@@ -245,14 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--run-external", action="store_true",
                    help="also run the backend tool when installed")
-    add_bounds(p)
+    add_bounds(p, "--stack-capacity")
     p.set_defaults(func=cmd_emit)
 
     p = sub.add_parser("crosscheck", help="compare backend semantics with the PDS")
     p.add_argument("input")
     p.add_argument("--mutate", choices=MUTATIONS,
                    help="inject a named fault first (translation self-test)")
-    add_bounds(p)
+    add_bounds(p, *bounds)
     p.set_defaults(func=cmd_crosscheck)
     return parser
 

@@ -60,15 +60,14 @@ _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 @dataclass(frozen=True)
 class EmitterOptions:
-    module_name: Optional[str] = None
     source_digest: str = ""
-    toolkit_version: str = ""
 
-    def resolved_name(self, default: str) -> str:
-        name = self.module_name or default
-        if not _IDENT_RE.match(name):
-            raise EmitError(f"module name {name!r} is not a valid identifier")
-        return name
+
+def _module_name(name: str) -> str:
+    """The program name from the ``.apg`` file, which names the model."""
+    if not _IDENT_RE.match(name):
+        raise EmitError(f"module name {name!r} is not a valid identifier")
+    return name
 
 
 _TLA_RESERVED = frozenset(
@@ -102,8 +101,7 @@ def _check_names(sts: Sts, reserved: frozenset, backend: str) -> None:
 def _header(comment: str, opts: EmitterOptions) -> list[str]:
     from . import __version__
 
-    version = opts.toolkit_version or __version__
-    lines = [f"{comment} Generated by flowmc {version}"]
+    lines = [f"{comment} Generated by flowmc {__version__}"]
     if opts.source_digest:
         lines.append(f"{comment} source-ir sha256: {opts.source_digest}")
     return lines
@@ -199,7 +197,7 @@ def _wrap(text: str, expr: Expr) -> str:
 
 def emit_tla(sts: Sts, opts: EmitterOptions = EmitterOptions()) -> tuple[str, str]:
     """Returns (module text, TLC config text); byte-deterministic."""
-    name = opts.resolved_name(sts.module_name)
+    name = _module_name(sts.module_name)
     _check_names(sts, _TLA_RESERVED, "TLA+")
     for scalar in sts.scalar_names:
         if not sts.domains[scalar].is_finite:
@@ -268,7 +266,7 @@ def emit_tla(sts: Sts, opts: EmitterOptions = EmitterOptions()) -> tuple[str, st
 
 def _tla_action(sts: Sts, action: StsAction) -> list[str]:
     parts: list[str] = []
-    if not action.skip_source_test:
+    if action.source is not None:
         parts.append(f'node = "{action.source}"')
     if action.kind == "silent":
         parts.append(f'node\' = "{action.target}"')
@@ -288,12 +286,8 @@ def _tla_action(sts: Sts, action: StsAction) -> list[str]:
         if part == TRUE:
             continue
         parts.append(render_tla(part))
-    for extra in sorted(action.extra_havoc):
-        parts.append(f"{extra}' \\in Dom_{extra}")
-    unchanged = []
-    if action.kind == "silent":
-        unchanged += ["stack_nodes", "stack_locals"]
-    unchanged += [p for p in action.pinned]
+    unchanged = ["stack_nodes", "stack_locals"] if action.kind == "silent" else []
+    unchanged += sts.unchanged(action)
     if unchanged:
         parts.append("UNCHANGED <<" + ", ".join(unchanged) + ">>")
     lines = [f"{action.name} =="]
@@ -312,7 +306,7 @@ def static_call_depth(sts: Sts) -> Optional[int]:
     for action in sts.actions:
         if action.kind == "call":
             caller = sts.proc_of_node[action.source]
-            calls.setdefault(caller, set()).add(action.callee)
+            calls.setdefault(caller, set()).add(sts.proc_of_node[action.target])
 
     depths: dict[str, int] = {}
     visiting: set[str] = set()
@@ -341,7 +335,7 @@ def emit_nuxmv(sts: Sts, opts: EmitterOptions = EmitterOptions()) -> str:
     """nuXmv model: enumerated node variable, the stack flattened into
     per-slot scalars plus a depth counter, one DEFINE per action, TRANS as
     their disjunction.  Byte-deterministic."""
-    name = opts.resolved_name(sts.module_name)
+    name = _module_name(sts.module_name)
     _check_names(sts, _SMV_RESERVED, "nuXmv")
     cap = sts.stack_capacity
     depth_needed = static_call_depth(sts)
@@ -441,7 +435,7 @@ def _smv_stack_clauses(sts: Sts) -> tuple[str, str]:
 def _smv_action(sts: Sts, action: StsAction, call_cells: str, pop: str) -> str:
     """``call_cells`` and ``pop`` come from :func:`_smv_stack_clauses`."""
     parts: list[str] = []
-    if not action.skip_source_test:
+    if action.source is not None:
         parts.append(f"node = {action.source}")
     if action.kind == "silent":
         parts.append(f"next(node) = {action.target}")
@@ -463,14 +457,8 @@ def _smv_action(sts: Sts, action: StsAction, call_cells: str, pop: str) -> str:
         if part == TRUE:
             continue
         parts.append(render_smv(part))
-    for extra in sorted(action.extra_havoc):
-        domain = sts.domains[extra]
-        if domain.kind == "bool":
-            parts.append(f"(next({extra}) = TRUE | next({extra}) = FALSE)")
-        elif domain.kind == "range":
-            parts.append(f"(next({extra}) >= {domain.lo} & next({extra}) <= {domain.hi})")
-    for pin in action.pinned:
-        parts.append(f"next({pin}) = {pin}")
+    for name in sts.unchanged(action):
+        parts.append(f"next({name}) = {name}")
     return " & ".join(parts)
 
 
@@ -481,7 +469,7 @@ def _smv_action(sts: Sts, action: StsAction, call_cells: str, pop: str) -> str:
 def emit_dot(fg: FlowGraph, opts: EmitterOptions = EmitterOptions()) -> str:
     """One cluster per procedure; entry nodes drawn with a thick border,
     return nodes with double peripheries; call edges labelled."""
-    name = opts.resolved_name(fg.name)
+    name = _module_name(fg.name)
     lines: list[str] = []
     lines += _header("//", opts)
     lines.append(f"digraph {name} {{")
@@ -606,7 +594,8 @@ def scan_nuxmv_structure(text: str) -> dict[str, tuple[str, Optional[str], str, 
 # over the distinct pieces, weighted by how often each occurs.  The checks
 # report the same error as a scan of the whole text in this order:
 # unbalanced delimiters, forbidden tokens, the first undeclared identifier
-# in text order, then the first undeclared prime or next() target.
+# in text order, the first undeclared prime or next() target, then a name
+# defined or declared twice.  Enum literals are not definitions.
 
 
 _TLA_KEYWORDS = {
@@ -657,6 +646,14 @@ def _first_undeclared(idents: list[str], declared: set[str]) -> Optional[str]:
     return next((ident for ident in idents if ident not in declared), None)
 
 
+def _check_defined_once(defined: Counter[str]) -> None:
+    """Report the first name that ``defined`` (definitions per name, in
+    the order the names first occur) counts more than once."""
+    for name, n in defined.items():
+        if n > 1:
+            raise EmitError(f"name {name!r} defined twice")
+
+
 def _check_targets(targets: dict[str, None], declared: set[str], message: str) -> None:
     """``targets`` holds the primed or ``next()`` names in the order they
     first occur; every occurrence is judged against the final ``declared``."""
@@ -669,9 +666,10 @@ def check_tla_text(text: str) -> None:
     """Balanced delimiters, declared-before-used names, prime discipline."""
     lines = Counter(_emitted_lines(text))  # each distinct line, in text order
     declared: set[str] = set(_TLA_KEYWORDS)
+    defined: Counter[str] = Counter()  # constants, variables and definitions
     primed: dict[str, None] = {}
     undeclared = None  # the first identifier used before its declaration
-    for line in lines:
+    for line, count in lines.items():
         primed.update(dict.fromkeys(_TLA_PRIME_RE.findall(line)))
         module = _TLA_MODULE_RE.match(line)
         if module:
@@ -679,11 +677,14 @@ def check_tla_text(text: str) -> None:
             continue
         header = _TLA_HEADER_RE.match(line)
         if header:
-            declared.update(n.strip() for n in header.group(2).split(","))
+            names = [n.strip() for n in header.group(2).split(",")]
+            declared.update(names)
+            defined.update(names * count)
             continue
         definition = _TLA_DEFINITION_RE.match(line)
         if definition:
             declared.add(definition.group(1))
+            defined[definition.group(1)] += count
         scrubbed = _TLA_OPERATOR_RE.sub(" ", _TLA_STRING_RE.sub("", line))
         undeclared = _first_undeclared(_TLA_IDENT_RE.findall(scrubbed), declared)
         if undeclared is not None:
@@ -695,6 +696,7 @@ def check_tla_text(text: str) -> None:
     if undeclared is not None:
         raise EmitError(f"identifier {undeclared!r} used before declaration")
     _check_targets(primed, declared, "prime applied to undeclared")
+    _check_defined_once(defined)
 
 
 def check_nuxmv_text(text: str) -> None:
@@ -702,6 +704,7 @@ def check_nuxmv_text(text: str) -> None:
     pieces: Counter[str] = Counter()  # each VAR line and conjunct -> its occurrences
     passed: set[str] = set()  # the conjuncts whose names were all declared
     declared: set[str] = set(_SMV_KEYWORDS)
+    defined: Counter[str] = Counter()  # the VAR and DEFINE names
     nexts: dict[str, None] = {}
     undeclared = None  # the first identifier used before its declaration
     for line in _emitted_lines(text):
@@ -710,6 +713,7 @@ def check_nuxmv_text(text: str) -> None:
             pieces[line] += 1
             nexts.update(dict.fromkeys(_SMV_NEXT_RE.findall(line)))
             declared.add(var_decl.group(1))
+            defined[var_decl.group(1)] += 1
             declared.update(_SMV_IDENT_RE.findall(var_decl.group(2)))  # enum literals
             continue
         define = _SMV_DEFINE_RE.match(line)
@@ -731,6 +735,7 @@ def check_nuxmv_text(text: str) -> None:
             passed.update(fresh)
         if define:
             declared.add(define.group(1))
+            defined[define.group(1)] += 1
     groups = _by_occurrences(pieces)
     _check_balance(groups, [("(", ")"), ("{", "}")], "nuXmv")
     if _count(groups, "case") != _count(groups, "esac"):
@@ -740,3 +745,4 @@ def check_nuxmv_text(text: str) -> None:
     if undeclared is not None:
         raise EmitError(f"identifier {undeclared!r} used before declaration")
     _check_targets(nexts, declared, "next() applied to undeclared")
+    _check_defined_once(defined)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Generic, Hashable, Iterable, Mapping, Optional, TypeVar
 
 from .actions import Action, InfiniteDomainError, State, enumerate_posts
-from .expr import Domain, Expr, Value, eval_expr, free_vars
+from .expr import Domain, Expr, ExprTypeError, Value, eval_expr, free_vars, infer_type
 from .flowgraph import FlowEdge, FlowGraph
 
 
@@ -323,15 +323,20 @@ def check_invariant(
     max_steps: int = 100_000,
     max_stack: int = 64,
 ) -> Verdict:
-    """Check that every reachable global state satisfies ``phi``; on failure
-    the verdict carries a minimal-length trace (BFS order)."""
-    global_names = {d.name for d in pds.flow_graph.globals}
+    """Check that every reachable global state satisfies ``phi``, which
+    must be boolean; on failure the verdict carries a minimal-length trace
+    (BFS order)."""
+    scope = {d.name: d.domain.type_name for d in pds.flow_graph.globals}
+    global_names = set(scope)
     unprimed, primed, old = free_vars(phi)
     if primed or old or not unprimed <= global_names:
         bad = sorted((unprimed - global_names) | primed | old)
         raise NonGlobalVariableError(
             f"invariant must be over unprimed globals; offending: {', '.join(bad)}"
         )
+    kind = infer_type(phi, scope)
+    if kind != "bool":
+        raise ExprTypeError(f"invariant must be boolean, got {kind}")
     search = bounded_search(
         pds.initial,
         lambda config: successors(pds, config),

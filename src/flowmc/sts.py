@@ -67,19 +67,16 @@ class StsAction:
 
     ``body`` is the scalar part (the node label plus, for calls, the
     callee's local initialization); the node test, node update and the
-    single push/pop macro occurrence are kept structurally.
+    single push/pop macro occurrence are kept structurally.  A ``source``
+    of ``None`` means the action has no node test.
     """
 
     name: str
     kind: str  # "silent" | "call" | "return"
-    source: str
+    source: Optional[str]
     target: Optional[str]  # None for return actions (target comes from the pop)
     body: Action
-    pinned: tuple[str, ...]
     push_node: Optional[str] = None
-    callee: Optional[str] = None
-    skip_source_test: bool = False
-    extra_havoc: frozenset[str] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -105,6 +102,16 @@ class Sts:
     @property
     def scalar_names(self) -> tuple[str, ...]:
         return tuple(d.name for d in self.globals_decls) + self.locals_order
+
+    def unchanged(self, action: StsAction) -> tuple[str, ...]:
+        """The scalars ``action`` keeps: those its body does not write,
+        less the locals a return restores from the stack."""
+        writes = action.body.writes
+        if action.kind == "return":
+            names = tuple(d.name for d in self.globals_decls)
+        else:
+            names = self.scalar_names
+        return tuple(n for n in names if n not in writes)
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +177,6 @@ def sts_of_flow_graph(fg: FlowGraph, stack_capacity: int = 10) -> Sts:
         proc_locals[proc.name] = tuple(pairs)
 
     actions: list[StsAction] = []
-    scalar_names = tuple(d.name for d in fg.globals) + tuple(locals_order)
-
-    def pins_for(writes: frozenset[str], restored: frozenset[str]) -> tuple[str, ...]:
-        return tuple(n for n in scalar_names if n not in writes and n not in restored)
-
     for proc in fg.procedures.values():
         local_names = {d.name for d in proc.locals}
         mangled_locals = {mangle(proc.name, n) for n in local_names}
@@ -194,17 +196,7 @@ def sts_of_flow_graph(fg: FlowGraph, stack_capacity: int = 10) -> Sts:
                     name = f"{_strip_node(edge.src)}_stutter"
                 else:
                     name = f"{_strip_node(edge.src)}_to_{_strip_node(edge.dst)}"
-                body = Action(body_expr)
-                actions.append(
-                    StsAction(
-                        name=name,
-                        kind="silent",
-                        source=edge.src,
-                        target=edge.dst,
-                        body=body,
-                        pinned=pins_for(body.writes, frozenset()),
-                    )
-                )
+                actions.append(StsAction(name, "silent", edge.src, edge.dst, Action(body_expr)))
             else:
                 callee = fg.procedures[edge.label]
                 for part in conjuncts(body_expr):
@@ -223,22 +215,11 @@ def sts_of_flow_graph(fg: FlowGraph, stack_capacity: int = 10) -> Sts:
                             literal(callee.init_locals[decl.name]),
                         )
                     )
-                body = Action(conj(parts))
                 call_name = f"{_strip_node(edge.src)}_call_{edge.label}"
                 if call_counts[(edge.src, edge.label)] > 1:
                     call_name += f"_{_strip_node(edge.dst)}"
-                actions.append(
-                    StsAction(
-                        name=call_name,
-                        kind="call",
-                        source=edge.src,
-                        target=callee.entry,
-                        body=body,
-                        pinned=pins_for(body.writes, frozenset()),
-                        push_node=edge.dst,
-                        callee=edge.label,
-                    )
-                )
+                actions.append(StsAction(call_name, "call", edge.src, callee.entry,
+                                         Action(conj(parts)), push_node=edge.dst))
         if proc.name != fg.main:
             ret = proc.return_node
             kept: list[Expr] = []
@@ -258,17 +239,8 @@ def sts_of_flow_graph(fg: FlowGraph, stack_capacity: int = 10) -> Sts:
                     raise StsError(
                         f"return label of '{proc.name}' constrains its locals"
                     )
-            body = Action(conj(kept))
-            actions.append(
-                StsAction(
-                    name=f"{_strip_node(ret)}_return",
-                    kind="return",
-                    source=ret,
-                    target=None,
-                    body=body,
-                    pinned=pins_for(body.writes, frozenset(locals_order)),
-                )
-            )
+            name = f"{_strip_node(ret)}_return"
+            actions.append(StsAction(name, "return", ret, None, Action(conj(kept))))
 
     names = [a.name for a in actions]
     if len(set(names)) != len(names):
@@ -350,15 +322,14 @@ def sts_successors(sts: Sts, state: StsState) -> tuple[list[StsState], bool]:
             out.append(new)
 
     for action in sts.actions:
-        if not action.skip_source_test and state.node != action.source:
+        if action.source is not None and state.node != action.source:
             continue
         if action.kind == "call" and len(state.stack) + 1 > sts.stack_capacity:
             overflow_blocked = True
             continue
         if action.kind == "return" and not state.stack:
             continue
-        written = sorted(action.body.writes | action.extra_havoc)
-        posts = enumerate_valuations(action.body, written, pre, sts.domains)
+        posts = enumerate_valuations(action.body, sorted(action.body.writes), pre, sts.domains)
         if action.kind == "silent":
             for env in posts:
                 emit(StsState(action.target, state.stack, freeze_env(env)))
@@ -523,7 +494,13 @@ def _replace_action(sts: Sts, index: int, action: StsAction) -> Sts:
 
 
 def mutate_sts(sts: Sts, kind: str) -> Sts:
-    """Apply a named fault; used to confirm the cross-check catches it."""
+    """Apply a named fault; used to confirm the cross-check catches it.
+
+    The result is an ordinary STS, whose emitted text shows the fault:
+    negate-guard negates the first guard conjunct, drop-frame havocs one
+    framed variable, swap-push pushes the callee's entry instead of the
+    return node, drop-return-test drops a return's node test, and
+    wrong-init negates the initial global constraint."""
     if kind == "negate-guard":
         for i, action in enumerate(sts.actions):
             for j, part in enumerate(conjuncts(action.body.expr)):
@@ -537,17 +514,12 @@ def mutate_sts(sts: Sts, kind: str) -> Sts:
         raise StsError("no guard conjunct to negate")
     if kind == "drop-frame":
         for i, action in enumerate(sts.actions):
-            if action.pinned:
-                victim = action.pinned[0]
-                return _replace_action(
-                    sts,
-                    i,
-                    replace(
-                        action,
-                        pinned=action.pinned[1:],
-                        extra_havoc=action.extra_havoc | {victim},
-                    ),
-                )
+            unchanged = sts.unchanged(action)
+            if unchanged:
+                victim = unchanged[0]
+                havoc = Binary("==", VarRef(victim, True), AnyVal(sts.domains[victim]))
+                body = Action(conj([action.body.expr, havoc]))
+                return _replace_action(sts, i, replace(action, body=body))
         raise StsError("no frame conjunct to drop")
     if kind == "swap-push":
         for i, action in enumerate(sts.actions):
@@ -557,7 +529,7 @@ def mutate_sts(sts: Sts, kind: str) -> Sts:
     if kind == "drop-return-test":
         for i, action in enumerate(sts.actions):
             if action.kind == "return":
-                return _replace_action(sts, i, replace(action, skip_source_test=True))
+                return _replace_action(sts, i, replace(action, source=None))
         raise StsError("no return action to mutate")
     if kind == "wrong-init":
         init = replace(sts.init, globals_expr=Unary("!", sts.init.globals_expr))

@@ -108,6 +108,30 @@ def test_check_rejects_local_variables():
     assert "invariant" in err
 
 
+@pytest.mark.parametrize("invariant", ["mode + 1", "mode"])
+def test_check_rejects_a_non_boolean_invariant(invariant):
+    code, out, err = run_cli("check", fx("mode"), "--invariant", invariant)
+    assert code == 2
+    assert out == ""
+    assert "invariant must be boolean, got int" in err
+
+
+@pytest.mark.parametrize("command,flag", [("check", "--stack-capacity"),
+                                          ("emit", "--max-steps"),
+                                          ("emit", "--max-stack")])
+def test_bounds_a_command_does_not_read_are_rejected(tmp_path, command, flag):
+    if command == "check":
+        args = ["--invariant", "true"]
+    else:
+        args = ["--backend", "tla", "--out", str(tmp_path)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exit_info:
+        main([command, fx("stee"), *args, flag, "3"])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag} 3" in err.getvalue()
+    assert not list(tmp_path.iterdir())
+
+
 def test_emit_nuxmv(tmp_path):
     code, out, _ = run_cli("emit", fx("stee"), "--backend", "nuxmv", "--out", str(tmp_path))
     assert code == 0

@@ -1,5 +1,7 @@
 """Model emission: golden stability, determinism, parity, smoke checks."""
 
+import dataclasses
+
 import pytest
 
 from conftest import GOLDEN, load_flow_graph
@@ -19,7 +21,7 @@ from flowmc.emit import (
     scan_tla_structure,
     static_call_depth,
 )
-from flowmc.sts import sts_of_flow_graph
+from flowmc.sts import MUTATIONS, mutate_sts, sts_of_flow_graph
 
 FINITE = ["stee", "minimal", "callret", "guarded", "mode", "mode_safe",
           "boolcall", "smallguard", "two_bools"]
@@ -73,6 +75,22 @@ def test_structural_parity_between_backends(name):
     assert scan_tla_structure(module) == scan_nuxmv_structure(model)
 
 
+@pytest.mark.parametrize("kind", MUTATIONS)
+def test_mutated_sts_emits_its_fault_in_checked_text(stee, kind):
+    # a mutated STS is an ordinary one: both emitters print the fault
+    sts = sts_of_flow_graph(stee)
+    mutated = mutate_sts(sts, kind)
+    module, _ = emit_tla(mutated)
+    model = emit_nuxmv(mutated)
+    assert module != emit_tla(sts)[0] and model != emit_nuxmv(sts)
+    check_tla_text(module)
+    check_nuxmv_text(model)
+    scanned = scan_tla_structure(module)
+    assert scanned == scan_nuxmv_structure(model)
+    source = "*" if kind == "drop-return-test" else "n_s4"
+    assert scanned["s4_return"] == (source, None, "pop", None)
+
+
 def test_parity_inventory_matches_sts(stee):
     sts = sts_of_flow_graph(stee)
     module, _ = emit_tla(sts)
@@ -105,8 +123,6 @@ def test_capacity_too_small_is_static():
     sts = sts_of_flow_graph(fg, stack_capacity=1)
     assert static_call_depth(sts) == 1
     emit_nuxmv(sts)  # depth 1 fits capacity 1
-    import dataclasses
-
     # force an impossible capacity without rebuilding the flow graph
     cramped = dataclasses.replace(sts, stack_capacity=0)
     with pytest.raises(CapacityTooSmallError):
@@ -122,8 +138,6 @@ def test_dot_shape(stee):
 
 
 def test_dot_empty_graph():
-    import dataclasses
-
     fg = load_flow_graph("minimal")
     empty = dataclasses.replace(fg, procedures={})
     dot = emit_dot(empty)
@@ -134,7 +148,7 @@ def test_dot_empty_graph():
 def test_bad_module_name_rejected(stee):
     sts = sts_of_flow_graph(stee)
     with pytest.raises(EmitError):
-        emit_tla(sts, EmitterOptions(module_name="not a name"))
+        emit_tla(dataclasses.replace(sts, module_name="not a name"))
 
 
 def test_smoke_check_catches_undeclared(stee):

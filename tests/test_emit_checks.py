@@ -5,11 +5,14 @@ conjunct once, and the ``scan_*_structure`` functions index every
 definition in one pass.  The references below are the earlier versions,
 which rescan every line and search the whole text once per action.  On
 the goldens, on generated models and on seeded mutations of both, each
-pair must accept the same texts and raise the same ``EmitError`` message.
+pair must accept the same texts and raise the same ``EmitError`` message,
+except that the checks also reject, after every other error, a name that
+is declared or defined twice; the references do not look for that.
 """
 
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -245,10 +248,38 @@ PAIRS = {
 }
 
 
+def _definitions(text, suffix):
+    """How often each name is declared or defined, counted line by line;
+    the module name and enum literals are not definitions."""
+    counts = Counter()
+    for line in reference_normalize(text).splitlines():
+        if suffix == "tla":
+            if re.match(r"^-+ MODULE (\w+) -+$", line):
+                continue
+            header = re.match(r"^(CONSTANTS|VARIABLES) (.+)$", line)
+            if header:
+                counts.update(n.strip() for n in header.group(2).split(","))
+                continue
+            definition = re.match(r"^(\w+) ==", line)
+        else:
+            definition = re.match(r"^  (\w+) : (.+);$", line) or re.match(r"^  (\w+) := ", line)
+        if definition:
+            counts[definition.group(1)] += 1
+    return counts
+
+
+def _redefinitions(text, suffix):
+    """The errors a check may raise for ``text``, one per repeated name."""
+    return {(EmitError, f"name {name!r} defined twice")
+            for name, n in _definitions(text, suffix).items() if n > 1}
+
+
 def _assert_agree(text, suffix, seed, mutants):
     """The new and the reference functions agree on ``text``, which must
-    pass, and on ``mutants`` seeded mutations of it; returns how many
-    mutants the check rejected."""
+    pass, and on ``mutants`` seeded mutations of it; where the reference
+    check passes a mutant that repeats a definition, the new check must
+    name a repeated one.  Returns how many mutants the reference check
+    rejected."""
     rng = random.Random(seed)
     rejected = 0
     for index in range(mutants + 1):
@@ -256,7 +287,14 @@ def _assert_agree(text, suffix, seed, mutants):
         outcomes = []
         for new, reference in PAIRS[suffix]:
             expected = _outcome(reference, mutant)
-            assert _outcome(new, mutant) == expected, (new.__name__, index, mutant)
+            got = _outcome(new, mutant)
+            twice = ()
+            if expected is None and new in (check_tla_text, check_nuxmv_text):
+                twice = _redefinitions(mutant, suffix)
+            if twice:
+                assert got in twice, (new.__name__, index, mutant)
+            else:
+                assert got == expected, (new.__name__, index, mutant)
             outcomes.append(expected)
         if index == 0:
             assert outcomes[0] is None
@@ -411,3 +449,52 @@ def test_unbalanced_text_is_reported_before_an_undeclared_name(stee_models):
     _rejects(check_nuxmv_text, reference_check_nuxmv_text,
              model.replace(line, line[:-1] + " & ghost;", 1) + "{\n",
              "unbalanced '{'/'}' in nuXmv output")
+
+
+def _accepts_only_reference(check, reference, text, message):
+    assert _outcome(reference, text) is None
+    assert _outcome(check, text) == (EmitError, message)
+
+
+def test_nuxmv_rejects_a_second_define(stee_models):
+    _, model = stee_models
+    line = _define_line(model, "m1_to_m2")
+    broken = model.replace("\nINIT\n", f"\n{line}\nINIT\n", 1)
+    _accepts_only_reference(check_nuxmv_text, reference_check_nuxmv_text, broken,
+                            "name 'm1_to_m2' defined twice")
+
+
+def test_nuxmv_rejects_a_second_var_declaration(stee_models):
+    _, model = stee_models
+    broken = model.replace("\nDEFINE\n", "\n  depth : boolean;\nDEFINE\n", 1)
+    _accepts_only_reference(check_nuxmv_text, reference_check_nuxmv_text, broken,
+                            "name 'depth' defined twice")
+
+
+def test_tla_rejects_a_second_definition(stee_models):
+    module, _ = stee_models
+    broken = module.replace("\nNext ==", "\nm1_to_m2 ==\n  /\\ node' = \"n_m4\"\n\nNext ==", 1)
+    _accepts_only_reference(check_tla_text, reference_check_tla_text, broken,
+                            "name 'm1_to_m2' defined twice")
+    # a repeated line is caught as well as a different one
+    block = module[module.index("m1_to_m2 ==\n"):module.index("\n\n", module.index("m1_to_m2 =="))]
+    repeated = module.replace("\nNext ==", f"\n{block}\n\nNext ==", 1)
+    _accepts_only_reference(check_tla_text, reference_check_tla_text, repeated,
+                            "name 'm1_to_m2' defined twice")
+
+
+def test_redefinition_is_reported_after_other_errors(stee_models):
+    module, model = stee_models
+    line = _define_line(model, "m1_to_m2")
+    _rejects(check_nuxmv_text, reference_check_nuxmv_text,
+             model.replace("\nINIT\n", f"\n{line}\nINIT\n", 1) + "(\n",
+             "unbalanced '('/')' in nuXmv output")
+    _rejects(check_tla_text, reference_check_tla_text,
+             module.replace("\nNext ==", "\nm1_to_m2 ==\n  /\\ ghost\n\nNext ==", 1),
+             "identifier 'ghost' used before declaration")
+    _rejects(check_tla_text, reference_check_tla_text,
+             module.replace("\nNext ==", "\nm1_to_m2 ==\n  /\\ _node' = 1\n\nNext ==", 1),
+             "prime applied to undeclared '_node'")
+    _rejects(check_nuxmv_text, reference_check_nuxmv_text,
+             model.replace("\nINIT\n", "\n  m1_to_m2 := next(1) = depth;\nINIT\n", 1),
+             "next() applied to undeclared '1'")

@@ -10,7 +10,7 @@ from conftest import load_flow_graph
 from genprog import random_program
 
 from flowmc.actions import State, eval_action
-from flowmc.expr import parse_expr
+from flowmc.expr import ExprTypeError, parse_expr
 from flowmc.flowgraph import translate
 from flowmc.pds import (
     Configuration,
@@ -257,6 +257,13 @@ def test_invariant_rejects_locals():
     pds = induce(load_flow_graph("stee"))
     with pytest.raises(NonGlobalVariableError):
         check_invariant(pds, parse_expr("primary_info"))
+
+
+@pytest.mark.parametrize("invariant", ["mode + 1", "mode"])
+def test_invariant_must_be_boolean(invariant):
+    pds = induce(load_flow_graph("mode"))
+    with pytest.raises(ExprTypeError, match="invariant must be boolean, got int"):
+        check_invariant(pds, parse_expr(invariant))
 
 
 def test_invariant_deterministic():

@@ -83,7 +83,6 @@ def test_action_exclusivity_on_node(stee):
     sts = sts_of_flow_graph(stee)
     for action in sts.actions:
         assert action.source in sts.node_values
-        assert not action.skip_source_test
 
 
 def test_execute_matches_pds_node_coverage(stee):
@@ -154,6 +153,17 @@ def test_mutations_are_caught(stee, kind):
     verdict = compare_with_pds(sts, pds, max_stack=4)
     assert not verdict.equivalent
     assert verdict.reason
+
+
+def test_drop_frame_havocs_one_framed_variable(stee):
+    sts = sts_of_flow_graph(stee)
+    mutated = mutate_sts(sts, "drop-frame")
+    changed = [(a, m) for a, m in zip(sts.actions, mutated.actions) if a != m]
+    assert len(changed) == 1
+    action, dropped = changed[0]
+    kept = sts.unchanged(action)
+    assert dropped.body.writes == action.body.writes | {kept[0]}
+    assert mutated.unchanged(dropped) == kept[1:]
 
 
 def test_bound_mismatch():
