@@ -1,8 +1,11 @@
 """Command-line front end: validate -> abstract -> (check | emit | crosscheck).
 
-Exit codes: 0 ok/holds, 1 violation/divergence/translation error or
-validation diagnostics, 2 I/O or parse error, 3 inconclusive (a bound was
-hit before a verdict).
+Exit codes: 0 ok/holds/equivalent; 1 violation, divergence, validation
+diagnostics, or an error in the program (translation, STS build,
+emission, evaluation); 2 usage or I/O error (a bad flag or invariant, an
+unreadable or unparsable input, an unwritable output, a mutation with no
+site); 3 inconclusive (a bound was hit before a verdict).  Every error
+reaches its code through ``EXIT_CODES``.
 """
 
 from __future__ import annotations
@@ -25,97 +28,94 @@ from .emit import (
     emit_nuxmv,
     emit_tla,
 )
-from .expr import ExprError, ExprSyntaxError, parse_expr
+from .expr import EvalError, ExprError, ExprSyntaxError, parse_expr
 from .flowgraph import TranslateError, translate
 from .ir_text import parse_program
-from .pds import (
-    NonGlobalVariableError,
-    PdsError,
-    check_invariant,
-    format_trace,
-    induce,
-)
-from .sts import MUTATIONS, StsError, compare_with_pds, mutate_sts, sts_of_flow_graph
+from .pds import PdsError, check_invariant, format_trace, induce
+from .sts import MUTATIONS, MutationError, StsError, compare_with_pds, mutate_sts, sts_of_flow_graph
 
 OK = 0
 FAIL = 1
-IO_ERROR = 2
+USAGE = 2
 INCONCLUSIVE = 3
 
 
+class UsageError(Exception):
+    """The request cannot be served: an unreadable input or a bad invariant."""
+
+
+class Diagnostics(Exception):
+    """The input is not a valid program; the message is its diagnostics, one a line."""
+
+
+class Unparsable(Diagnostics):
+    """The input is not a program at all: it did not parse."""
+
+
+# The exit code of each error; the first row the error is an instance of
+# wins, so a subclass comes before its base.
+EXIT_CODES: tuple[tuple[type[BaseException], int | None], ...] = (
+    (SystemExit, None),         # argparse: 2 after a usage error, 0 after --help/--version
+    (UsageError, USAGE),
+    (Unparsable, USAGE),
+    (Diagnostics, FAIL),
+    (OSError, USAGE),           # an unwritable --out, a backend tool not on PATH
+    (MutationError, USAGE),     # --mutate names a fault the program has no site for
+    (EvalError, FAIL),          # e.g. the program divides by zero
+    (ExprError, USAGE),         # e.g. an invariant that is not boolean
+    (PdsError, USAGE),          # e.g. an invariant over locals
+    (ActionError, USAGE),       # e.g. a search over an unbounded domain
+    (TranslateError, FAIL),
+    (StsError, FAIL),
+    (EmitError, FAIL),
+)
+
+
 def _load(path: str):
-    """Returns (program, digest) or exits with an I/O / parse error code."""
+    """Returns (program, source digest) of a valid input."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
-        print(f"error: cannot read {path}: {err}", file=sys.stderr)
-        raise SystemExit(IO_ERROR)
+        raise UsageError(f"cannot read {path}: {err}") from err
     result = parse_program(text)
+    diagnostics = "\n".join(str(diag) for diag in result.diagnostics)
     if result.program is None:
-        for diag in result.diagnostics:
-            print(diag, file=sys.stderr)
-        raise SystemExit(IO_ERROR)
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    return result, digest
+        raise Unparsable(diagnostics)
+    if diagnostics:
+        raise Diagnostics(diagnostics)
+    return result.program, hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _require_valid(result) -> None:
-    if result.diagnostics:
-        for diag in result.diagnostics:
-            print(diag, file=sys.stderr)
-        raise SystemExit(FAIL)
+def _invariant(text: str):
+    try:
+        return parse_expr(text)
+    except ExprSyntaxError as err:
+        raise UsageError(f"bad invariant: {err}") from err
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    result, _ = _load(args.input)
-    if result.diagnostics:
-        for diag in result.diagnostics:
-            print(diag, file=sys.stderr)
-        return FAIL
+    _load(args.input)
     print(f"{args.input}: ok")
     return OK
 
 
-def _abstract(result):
-    try:
-        return translate(result.program)
-    except TranslateError as err:
-        print(f"error: {err}", file=sys.stderr)
-        raise SystemExit(FAIL)
-
-
 def cmd_abstract(args: argparse.Namespace) -> int:
-    result, digest = _load(args.input)
-    _require_valid(result)
-    fg = _abstract(result)
+    program, _ = _load(args.input)
+    fg = translate(program)
     summary = "; ".join(
         f"{proc.name}: {len(proc.nodes)} node{'s' if len(proc.nodes) != 1 else ''}, "
         f"{len(proc.edges)} edge{'s' if len(proc.edges) != 1 else ''}"
         for proc in fg.procedures.values()
     )
     print(summary)
-    if args.dot:
-        opts = EmitterOptions(source_digest=digest)
-        Path(args.dot).write_text(emit_dot(fg, opts), encoding="utf-8")
-        print(f"wrote {args.dot}")
     return OK
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    result, _ = _load(args.input)
-    _require_valid(result)
-    fg = _abstract(result)
-    try:
-        phi = parse_expr(args.invariant)
-    except ExprSyntaxError as err:
-        print(f"error: bad invariant: {err}", file=sys.stderr)
-        return IO_ERROR
-    try:
-        pds = induce(fg)
-        verdict = check_invariant(pds, phi, args.max_steps, args.max_stack)
-    except (NonGlobalVariableError, PdsError, ActionError, ExprError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return IO_ERROR
+    program, _ = _load(args.input)
+    fg = translate(program)
+    phi = _invariant(args.invariant)
+    verdict = check_invariant(induce(fg), phi, args.max_steps, args.max_stack)
     if not verdict.holds:
         print("violated")
         print(format_trace(verdict.trace))
@@ -132,53 +132,39 @@ def _inconclusive() -> int:
 
 
 def cmd_emit(args: argparse.Namespace) -> int:
-    result, digest = _load(args.input)
-    _require_valid(result)
-    fg = _abstract(result)
+    program, digest = _load(args.input)
+    fg = translate(program)
     opts = EmitterOptions(source_digest=digest)
+    if args.backend == "dot":
+        files = [("dot", emit_dot(fg, opts))]
+    else:
+        sts = sts_of_flow_graph(fg, stack_capacity=args.stack_capacity)
+        if args.backend == "tla":
+            module, config = emit_tla(sts, opts)
+            check_tla_text(module)
+            files = [("tla", module), ("cfg", config)]
+        else:
+            model = emit_nuxmv(sts, opts)
+            check_nuxmv_text(model)
+            files = [("smv", model)]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    try:
-        if args.backend == "dot":
-            path = out_dir / f"{fg.name}.dot"
-            path.write_text(emit_dot(fg, opts), encoding="utf-8")
-            written.append(path)
-        else:
-            sts = sts_of_flow_graph(fg, stack_capacity=args.stack_capacity)
-            if args.backend == "tla":
-                module, config = emit_tla(sts, opts)
-                check_tla_text(module)
-                module_path = out_dir / f"{fg.name}.tla"
-                config_path = out_dir / f"{fg.name}.cfg"
-                module_path.write_text(module, encoding="utf-8")
-                config_path.write_text(config, encoding="utf-8")
-                written += [module_path, config_path]
-            else:
-                model = emit_nuxmv(sts, opts)
-                check_nuxmv_text(model)
-                path = out_dir / f"{fg.name}.smv"
-                path.write_text(model, encoding="utf-8")
-                written.append(path)
-    except (EmitError, StsError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return FAIL
-    for path in written:
+    for suffix, text in files:
+        path = out_dir / f"{fg.name}.{suffix}"
+        path.write_text(text, encoding="utf-8")
         print(f"wrote {path}")
     if args.run_external:
-        return _run_external(args.backend, written)
+        return _run_external(args.backend, out_dir / f"{fg.name}.{files[0][0]}")
     return OK
 
 
-def _run_external(backend: str, paths: list[Path]) -> int:
+def _run_external(backend: str, path: Path) -> int:
     tool = {"tla": "tlc", "nuxmv": "nuXmv"}.get(backend)
     if tool is None:
-        print("error: --run-external supports tla and nuxmv only", file=sys.stderr)
-        return FAIL
+        raise EmitError("--run-external supports tla and nuxmv only")
     if shutil.which(tool) is None:
-        print(f"error: {tool} is not on PATH", file=sys.stderr)
-        return IO_ERROR
-    cmd = [tool, "-deadlock", str(paths[0])] if backend == "tla" else [tool, str(paths[0])]
+        raise FileNotFoundError(f"{tool} is not on PATH")
+    cmd = [tool, "-deadlock", str(path)] if backend == "tla" else [tool, str(path)]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     sys.stdout.write(proc.stdout)
     sys.stderr.write(proc.stderr)
@@ -186,19 +172,13 @@ def _run_external(backend: str, paths: list[Path]) -> int:
 
 
 def cmd_crosscheck(args: argparse.Namespace) -> int:
-    result, _ = _load(args.input)
-    _require_valid(result)
-    fg = _abstract(result)
-    try:
-        pds = induce(fg)
-        sts = sts_of_flow_graph(fg, stack_capacity=args.stack_capacity)
-        if args.mutate:
-            sts = mutate_sts(sts, args.mutate)
-        depth = min(args.max_stack, args.stack_capacity)
-        verdict = compare_with_pds(sts, pds, args.max_steps, depth)
-    except (StsError, PdsError, ActionError, ExprError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return IO_ERROR
+    program, _ = _load(args.input)
+    fg = translate(program)
+    pds = induce(fg)
+    sts = sts_of_flow_graph(fg, stack_capacity=args.stack_capacity)
+    if args.mutate:
+        sts = mutate_sts(sts, args.mutate)
+    verdict = compare_with_pds(sts, pds, args.max_steps, args.stack_capacity)
     if verdict.inconclusive:
         return _inconclusive()
     if verdict.equivalent:
@@ -208,6 +188,14 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
     if verdict.witness:
         print(f"witness: {verdict.witness}")
     return FAIL
+
+
+def positive_int(text: str) -> int:
+    """argparse type of the bound flags: an int of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -223,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_bounds(p: argparse.ArgumentParser, *flags: str) -> None:
         for flag in flags:
-            p.add_argument(flag, type=int, default=bounds[flag])
+            p.add_argument(flag, type=positive_int, default=bounds[flag])
 
     p = sub.add_parser("validate", help="parse and validate a .apg file")
     p.add_argument("input")
@@ -231,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("abstract", help="translate to a flow graph and summarize")
     p.add_argument("input")
-    p.add_argument("--dot", help="write a DOT rendering to this path")
     p.set_defaults(func=cmd_abstract)
 
     p = sub.add_parser("check", help="explicit-state invariant check")
@@ -253,17 +240,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--mutate", choices=MUTATIONS,
                    help="inject a named fault first (translation self-test)")
-    add_bounds(p, *bounds)
+    add_bounds(p, "--max-steps", "--stack-capacity")
     p.set_defaults(func=cmd_crosscheck)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except SystemExit as err:
-        return err.code if isinstance(err.code, int) else IO_ERROR
+    except tuple(cls for cls, _ in EXIT_CODES) as err:
+        code = next(code for cls, code in EXIT_CODES if isinstance(err, cls))
+        if code is None:  # argparse has printed its message
+            return err.code
+        print(err if isinstance(err, Diagnostics) else f"error: {err}", file=sys.stderr)
+        return code
 
 
 def entry() -> None:

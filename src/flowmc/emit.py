@@ -198,7 +198,8 @@ def _wrap(text: str, expr: Expr) -> str:
 def emit_tla(sts: Sts, opts: EmitterOptions = EmitterOptions()) -> tuple[str, str]:
     """Returns (module text, TLC config text); byte-deterministic."""
     name = _module_name(sts.module_name)
-    _check_names(sts, _TLA_RESERVED, "TLA+")
+    # keywords too: check_tla_text counts them as declared, so it would pass one
+    _check_names(sts, _TLA_RESERVED | _TLA_KEYWORDS, "TLA+")
     for scalar in sts.scalar_names:
         if not sts.domains[scalar].is_finite:
             raise UnboundedDomainError(

@@ -54,6 +54,10 @@ class BoundMismatchError(StsError):
     pass
 
 
+class MutationError(StsError):
+    """The named mutation has no site in this system, or no such mutation."""
+
+
 STACK_PADDING = "stk_none"
 
 
@@ -511,7 +515,7 @@ def mutate_sts(sts: Sts, kind: str) -> Sts:
                 parts[j] = Unary("!", part)
                 body = Action(conj(parts))
                 return _replace_action(sts, i, replace(action, body=body))
-        raise StsError("no guard conjunct to negate")
+        raise MutationError("no guard conjunct to negate")
     if kind == "drop-frame":
         for i, action in enumerate(sts.actions):
             unchanged = sts.unchanged(action)
@@ -520,18 +524,18 @@ def mutate_sts(sts: Sts, kind: str) -> Sts:
                 havoc = Binary("==", VarRef(victim, True), AnyVal(sts.domains[victim]))
                 body = Action(conj([action.body.expr, havoc]))
                 return _replace_action(sts, i, replace(action, body=body))
-        raise StsError("no frame conjunct to drop")
+        raise MutationError("no frame conjunct to drop")
     if kind == "swap-push":
         for i, action in enumerate(sts.actions):
             if action.kind == "call":
                 return _replace_action(sts, i, replace(action, push_node=action.target))
-        raise StsError("no call action to mutate")
+        raise MutationError("no call action to mutate")
     if kind == "drop-return-test":
         for i, action in enumerate(sts.actions):
             if action.kind == "return":
                 return _replace_action(sts, i, replace(action, source=None))
-        raise StsError("no return action to mutate")
+        raise MutationError("no return action to mutate")
     if kind == "wrong-init":
         init = replace(sts.init, globals_expr=Unary("!", sts.init.globals_expr))
         return replace(sts, init=init)
-    raise StsError(f"unknown mutation {kind!r}")
+    raise MutationError(f"unknown mutation {kind!r}")

@@ -2,6 +2,9 @@
 
 import io
 import contextlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,12 @@ def run_cli(*argv) -> tuple[int, str, str]:
 
 def fx(name: str) -> str:
     return str(FIXTURES / f"{name}.apg")
+
+
+def write_program(tmp_path, name: str, text: str) -> str:
+    path = tmp_path / f"{name}.apg"
+    path.write_text(text)
+    return str(path)
 
 
 def test_validate_ok():
@@ -71,14 +80,6 @@ def test_abstract_cyclic_jump_fixture():
     assert "CyclicUnannotatedJumps" in err
 
 
-def test_abstract_writes_dot(tmp_path):
-    target = tmp_path / "stee.dot"
-    code, out, _ = run_cli("abstract", fx("stee"), "--dot", str(target))
-    assert code == 0
-    assert target.exists()
-    assert "digraph stee" in target.read_text()
-
-
 def test_check_trivial_invariant_holds():
     code, out, _ = run_cli("check", fx("stee"), "--invariant", "true")
     assert code == 0
@@ -124,11 +125,9 @@ def test_bounds_a_command_does_not_read_are_rejected(tmp_path, command, flag):
         args = ["--invariant", "true"]
     else:
         args = ["--backend", "tla", "--out", str(tmp_path)]
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exit_info:
-        main([command, fx("stee"), *args, flag, "3"])
-    assert exit_info.value.code == 2
-    assert f"unrecognized arguments: {flag} 3" in err.getvalue()
+    code, _, err = run_cli(command, fx("stee"), *args, flag, "3")
+    assert code == 2
+    assert f"unrecognized arguments: {flag} 3" in err
     assert not list(tmp_path.iterdir())
 
 
@@ -161,7 +160,7 @@ def test_emit_nuxmv_accepts_unbounded(tmp_path):
 def test_emit_dot(tmp_path):
     code, _, _ = run_cli("emit", fx("stee"), "--backend", "dot", "--out", str(tmp_path))
     assert code == 0
-    assert (tmp_path / "stee.dot").exists()
+    assert "digraph stee" in (tmp_path / "stee.dot").read_text()
 
 
 @pytest.mark.parametrize("name", ["stee", "minimal", "callret", "guarded"])
@@ -216,3 +215,94 @@ def test_crosscheck_unbounded_domain_is_a_usage_error():
     code, _, err = run_cli("crosscheck", fx("unbounded"))
     assert code == 2
     assert "unbounded" in err
+
+
+@pytest.mark.parametrize("command,flag,value", [("check", "--max-steps", "0"),
+                                                ("check", "--max-steps", "-5"),
+                                                ("check", "--max-stack", "0"),
+                                                ("emit", "--stack-capacity", "0"),
+                                                ("crosscheck", "--max-steps", "0"),
+                                                ("crosscheck", "--stack-capacity", "0")])
+def test_bounds_below_one_are_usage_errors(tmp_path, command, flag, value):
+    args = {"check": ["--invariant", "true"],
+            "emit": ["--backend", "tla", "--out", str(tmp_path)],
+            "crosscheck": []}[command]
+    code, out, err = run_cli(command, fx("stee"), *args, flag, value)
+    assert code == 2
+    assert out == ""
+    assert "must be at least 1" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["check", "crosscheck"])
+def test_an_evaluation_error_is_a_failure(tmp_path, command):
+    inp = write_program(tmp_path, "dz", (
+        "program dz\nglobal x : int 0..2\nglobal y : int 0..2\ninit x == 0 && y == 0\n"
+        "procedure main\n  block b1\n    point a : y := 1 / x\n    point r : return\n"
+        "    edge a -> r\n    entry a\n    exit r\n"
+    ))
+    argv = ["--invariant", "true"] if command == "check" else []
+    code, out, err = run_cli(command, inp, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: division by zero\n"
+
+
+def test_emit_to_an_unwritable_out_is_a_usage_error(tmp_path):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    code, out, err = run_cli("emit", fx("stee"), "--backend", "tla", "--out", str(blocker))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["emit", "crosscheck"])
+def test_an_sts_name_clash_fails_from_every_command(tmp_path, command):
+    inp = write_program(tmp_path, "clash", (
+        "program clash\nglobal p__x : bool\ninit !p__x\n"
+        "procedure main\n  block b1\n    point c : call p\n    point r : return\n"
+        "    edge c -> r\n    entry c\n    exit r\n"
+        "procedure p\n  local x : bool = false\n  block b1\n    point r : return\n"
+        "    entry r\n    exit r\n"
+    ))
+    argv = ["--backend", "tla", "--out", str(tmp_path)] if command == "emit" else []
+    code, out, err = run_cli(command, inp, *argv)
+    assert code == 1
+    assert out == ""
+    assert "mangled name 'p__x' collides with another variable" in err
+
+
+@pytest.mark.parametrize("name", ["EXTENDS", "CONSTANT"])
+def test_emit_tla_rejects_a_variable_named_like_a_keyword(tmp_path, name):
+    inp = write_program(tmp_path, "kw", (
+        f"program kw\nglobal {name} : bool\ninit !{name}\n"
+        "procedure main\n  block b1\n    point r : return\n    entry r\n    exit r\n"
+    ))
+    code, out, err = run_cli("emit", inp, "--backend", "tla", "--out", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert f"variable '{name}' collides with a reserved TLA+ identifier" in err
+
+
+def test_crosscheck_a_mutation_without_a_site_is_a_usage_error():
+    code, out, err = run_cli("crosscheck", fx("minimal"), "--mutate", "swap-push")
+    assert code == 2
+    assert out == ""
+    assert err == "error: no call action to mutate\n"
+
+
+def test_the_module_entry_point_returns_the_usage_exit_code():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "flowmc.cli", "check", fx("stee"), "--invariant", "true",
+         "--bogus"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "unrecognized arguments: --bogus" in proc.stderr
+    assert "Traceback" not in proc.stderr
