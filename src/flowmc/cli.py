@@ -178,7 +178,7 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
     sts = sts_of_flow_graph(fg, stack_capacity=args.stack_capacity)
     if args.mutate:
         sts = mutate_sts(sts, args.mutate)
-    verdict = compare_with_pds(sts, pds, args.max_steps, args.stack_capacity)
+    verdict = compare_with_pds(sts, pds, args.max_steps)
     if verdict.inconclusive:
         return _inconclusive()
     if verdict.equivalent:

@@ -63,36 +63,49 @@ class EmitterOptions:
     source_digest: str = ""
 
 
-def _module_name(name: str) -> str:
+def _module_name(name: str, reserved: frozenset = frozenset()) -> str:
     """The program name from the ``.apg`` file, which names the model."""
     if not _IDENT_RE.match(name):
         raise EmitError(f"module name {name!r} is not a valid identifier")
+    if name in reserved:
+        raise EmitError(f"module name {name!r} is a reserved word")
     return name
 
 
-_TLA_RESERVED = frozenset(
-    {
-        "node", "stack_nodes", "stack_locals", "vars", "Init", "Next", "Spec",
-        "LocalsSnapshot", "StackBound", "STACK_CAPACITY", "UNCHANGED", "Head",
-        "Tail", "Len", "BOOLEAN", "TRUE", "FALSE",
-    }
-)
-_SMV_RESERVED = frozenset(
-    {
-        "node", "depth", "stack_unchanged", "STACK_CAPACITY", STACK_PADDING,
-        "MODULE", "main", "VAR", "IVAR", "FROZENVAR", "DEFINE", "CONSTANTS",
-        "ASSIGN", "INIT", "TRANS", "INVAR", "SPEC", "LTLSPEC", "CTLSPEC",
-        "next", "init", "case", "esac", "in", "union", "mod", "boolean",
-        "integer", "word", "array", "of", "process", "self", "TRUE", "FALSE",
-    }
-)
+# The reserved words of TLA+ and of its proof language, its built-in values,
+# and the EXTENDS'd Integers and Sequences with the operators they define
+_TLA_WORDS = frozenset("""
+    ASSUME ASSUMPTION AXIOM CASE CHOOSE CONSTANT CONSTANTS DOMAIN ELSE ENABLED EXCEPT
+    EXTENDS IF IN INSTANCE LET LOCAL MODULE OTHER SUBSET THEN THEOREM UNCHANGED UNION
+    VARIABLE VARIABLES WITH ACTION BY COROLLARY DEF DEFINE DEFS HAVE HIDE LAMBDA LEMMA
+    NEW OBVIOUS OMITTED ONLY PICK PROOF PROPOSITION PROVE QED RECURSIVE STATE SUFFICES
+    TAKE TEMPORAL USE WITNESS BOOLEAN FALSE STRING TRUE
+    Integers Int Nat Sequences Seq Len Head Tail Append SubSeq SelectSeq""".split())
+# ... and the identifiers the TLA+ emitter defines
+_TLA_RESERVED = _TLA_WORDS | {
+    "node", "stack_nodes", "stack_locals", "vars", "Init", "Next", "Spec",
+    "LocalsSnapshot", "StackBound", "STACK_CAPACITY",
+}
+# The identifiers the nuXmv emitter defines, and the keywords, temporal
+# operators and built-in functions of the nuXmv manual
+_SMV_RESERVED = frozenset(f"""
+    node depth stack_unchanged STACK_CAPACITY {STACK_PADDING} main
+    MODULE DEFINE MDEFINE CONSTANTS VAR IVAR FROZENVAR INIT TRANS INVAR SPEC CTLSPEC
+    LTLSPEC PSLSPEC COMPUTE NAME INVARSPEC FAIRNESS JUSTICE COMPASSION ISA ASSIGN
+    CONSTRAINT SIMPWFF CTLWFF LTLWFF PSLWFF COMPWFF IN MIN MAX MIRROR PRED PREDICATES
+    process array of boolean integer real word word1 bool signed unsigned extend resize
+    sizeof uwconst swconst EX AX EF AF EG AG E F O G H X Y Z A U S V T BU EBF ABF EBG ABG
+    case esac mod next init union in xor xnor self count abs max min toint floor TRUE FALSE
+    """.split())
+# DOT keywords, which the DOT grammar matches in any case
+_DOT_KEYWORDS = frozenset({"node", "edge", "graph", "digraph", "subgraph", "strict"})
 
 
 def _check_names(sts: Sts, reserved: frozenset, backend: str) -> None:
     """Scalar names share a namespace with the emitted identifiers."""
     taken = set(reserved) | {a.name for a in sts.actions} | set(sts.node_values)
     for scalar in sts.scalar_names:
-        if scalar in taken or scalar.startswith("st_") or scalar.startswith("Dom_"):
+        if scalar in taken or scalar.startswith(("st_", "Dom_", "WF_", "SF_")):
             raise EmitError(
                 f"variable '{scalar}' collides with a reserved {backend} identifier"
             )
@@ -197,7 +210,7 @@ def _wrap(text: str, expr: Expr) -> str:
 
 def emit_tla(sts: Sts, opts: EmitterOptions = EmitterOptions()) -> tuple[str, str]:
     """Returns (module text, TLC config text); byte-deterministic."""
-    name = _module_name(sts.module_name)
+    name = _module_name(sts.module_name, _TLA_WORDS)
     # keywords too: check_tla_text counts them as declared, so it would pass one
     _check_names(sts, _TLA_RESERVED | _TLA_KEYWORDS, "TLA+")
     for scalar in sts.scalar_names:
@@ -471,6 +484,8 @@ def emit_dot(fg: FlowGraph, opts: EmitterOptions = EmitterOptions()) -> str:
     """One cluster per procedure; entry nodes drawn with a thick border,
     return nodes with double peripheries; call edges labelled."""
     name = _module_name(fg.name)
+    if name.lower() in _DOT_KEYWORDS:
+        raise EmitError(f"module name {name!r} is a reserved word")
     lines: list[str] = []
     lines += _header("//", opts)
     lines.append(f"digraph {name} {{")

@@ -50,10 +50,6 @@ class StsError(Exception):
     pass
 
 
-class BoundMismatchError(StsError):
-    pass
-
-
 class MutationError(StsError):
     """The named mutation has no site in this system, or no such mutation."""
 
@@ -313,62 +309,55 @@ def sts_initial_states(sts: Sts) -> list[StsState]:
     return out
 
 
-def sts_successors(sts: Sts, state: StsState) -> tuple[list[StsState], bool]:
-    """Successor states plus a flag: was some call blocked only by capacity."""
-    out: list[StsState] = []
-    seen: set[StsState] = set()
-    overflow_blocked = False
+def sts_successors(sts: Sts, state: StsState) -> list[StsState]:
+    """Successor states of ``state``, one per action and post-state, in
+    action order.  A call is blocked once the stack holds
+    ``stack_capacity`` saved frames, as in both emitted models."""
+    out: dict[StsState, None] = {}  # an insertion-ordered set
     pre = state.env()
-
-    def emit(new: StsState) -> None:
-        if new not in seen:
-            seen.add(new)
-            out.append(new)
-
     for action in sts.actions:
         if action.source is not None and state.node != action.source:
             continue
-        if action.kind == "call" and len(state.stack) + 1 > sts.stack_capacity:
-            overflow_blocked = True
+        if action.kind == "call" and len(state.stack) >= sts.stack_capacity:
             continue
         if action.kind == "return" and not state.stack:
             continue
         posts = enumerate_valuations(action.body, sorted(action.body.writes), pre, sts.domains)
         if action.kind == "silent":
             for env in posts:
-                emit(StsState(action.target, state.stack, freeze_env(env)))
+                out[StsState(action.target, state.stack, freeze_env(env))] = None
         elif action.kind == "call":
             slot: Slot = (
                 action.push_node,
                 tuple(pre[name] for name in sts.locals_order),
             )
             for env in posts:
-                emit(StsState(action.target, (slot,) + state.stack, freeze_env(env)))
+                out[StsState(action.target, (slot,) + state.stack, freeze_env(env))] = None
         else:  # return
             slot_node, snapshot = state.stack[0]
             for env in posts:
                 restored = dict(env)
                 restored.update(zip(sts.locals_order, snapshot))
-                emit(StsState(slot_node, state.stack[1:], freeze_env(restored)))
-    return out, overflow_blocked
+                out[StsState(slot_node, state.stack[1:], freeze_env(restored))] = None
+    return list(out)
 
 
 def execute_sts(sts: Sts, max_steps: int = 100_000) -> StsReport:
-    """BFS over system states; a state with no successors is a deadlock,
-    annotated with whether a stack-capacity overflow caused it."""
-    overflowed: set[StsState] = set()
+    """BFS over system states.  A state with no successors is a deadlock,
+    labelled ``stack-overflow`` when the stack is full and some call
+    action tests no node or tests the state's node, else
+    ``no-enabled-action``."""
+    search = bounded_search(
+        sts_initial_states(sts), lambda state: sts_successors(sts, state), max_steps
+    )
+    call_sources = {action.source for action in sts.actions if action.kind == "call"}
 
-    def step(state: StsState) -> list[StsState]:
-        succ, overflow = sts_successors(sts, state)
-        if overflow:
-            overflowed.add(state)
-        return succ
+    def cause(state: StsState) -> str:
+        if len(state.stack) >= sts.stack_capacity and call_sources & {None, state.node}:
+            return "stack-overflow"
+        return "no-enabled-action"
 
-    search = bounded_search(sts_initial_states(sts), step, max_steps)
-    deadlocks = [
-        (state, "stack-overflow" if state in overflowed else "no-enabled-action")
-        for state in search.deadlocks
-    ]
+    deadlocks = [(state, cause(state)) for state in search.deadlocks]
     return StsReport(list(search.parents), deadlocks, search.cut is not None)
 
 
@@ -405,39 +394,32 @@ def project_state(sts: Sts, state: StsState) -> Configuration:
 
 
 def compare_with_pds(
-    sts: Sts,
-    pds: InducedPds,
-    max_steps: int = 100_000,
-    max_stack: int = 16,
+    sts: Sts, pds: InducedPds, max_steps: int = 100_000
 ) -> EquivalenceVerdict:
     """Exhaustively check that reachable system states and reachable
-    configurations correspond one-to-one and step together.  Inconclusive
-    when ``max_steps`` left either state space unexpanded."""
-    if max_stack > sts.stack_capacity:
-        raise BoundMismatchError(
-            f"max_stack {max_stack} exceeds the stack capacity {sts.stack_capacity}"
-        )
+    configurations correspond one-to-one and step together.
 
+    Both emitted models block a call once ``sts.stack_capacity`` frames
+    are saved under the current one, so the STS search needs no depth
+    bound, and the PDS search keeps the configurations of at most
+    ``stack_capacity + 1`` frames: both cover the same region.
+    Inconclusive when ``max_steps`` left either state space unexpanded."""
+    max_depth = sts.stack_capacity + 1
     pds_search = bounded_search(
         pds.initial,
         lambda config: pds_successors(pds, config),
         max_steps,
-        keep=lambda config: config.depth <= max_stack,
+        keep=lambda config: config.depth <= max_depth,
     )
     sts_search = bounded_search(
-        sts_initial_states(sts), lambda state: sts_successors(sts, state)[0], max_steps
+        sts_initial_states(sts), lambda state: sts_successors(sts, state), max_steps
     )
     if "max-steps" in (pds_search.cut, sts_search.cut):
         return EquivalenceVerdict(
             False, "bound hit before closing the state space", inconclusive=True
         )
 
-    def depth_ok_sts(state: StsState) -> bool:
-        return len(state.stack) + 1 <= max_stack
-
-    projection: dict[StsState, Configuration] = {
-        s: project_state(sts, s) for s in sts_search.parents if depth_ok_sts(s)
-    }
+    projection = {s: project_state(sts, s) for s in sts_search.parents}
 
     by_config: dict[Configuration, StsState] = {}
     for state, config in projection.items():
@@ -471,8 +453,8 @@ def compare_with_pds(
     # the step relations must agree through the projection; both searches
     # closed, so every state compared here was expanded
     for state, config in projection.items():
-        succ_sts = {projection[s] for s in sts_search.successors[state] if depth_ok_sts(s)}
-        succ_pds = {c for c in pds_search.successors[config] if c.depth <= max_stack}
+        succ_sts = {projection[s] for s in sts_search.successors[state]}
+        succ_pds = {c for c in pds_search.successors[config] if c.depth <= max_depth}
         if succ_sts != succ_pds:
             diff = succ_sts ^ succ_pds
             witness = min(diff, key=format_config) if diff else config

@@ -30,3 +30,35 @@ def load_flow_graph(name: str) -> FlowGraph:
 @pytest.fixture
 def stee():
     return load_flow_graph("stee")
+
+
+# Unbounded recursion: f toggles a global bool and may call itself, so
+# every stack bound cuts the search.
+TOGGLE_RECURSION = """\
+program toggle
+global b : bool
+init !b
+procedure main
+  block b1
+    point c : call f
+    point r : return
+    edge c -> r
+    entry c
+    exit r
+procedure f
+  block b1
+    point t : b := !b
+    point c : call f
+    point r : return
+    edge t -> c
+    edge t -> r
+    edge c -> r
+    entry t
+    exit r
+"""
+
+
+def load_text(text: str) -> FlowGraph:
+    result = parse_program(text)
+    assert result.program is not None and result.diagnostics == [], result.diagnostics
+    return translate(result.program)

@@ -107,14 +107,14 @@ def test_criterion_4_translation_crosscheck():
     done = _timed(60.0)
     for name in ["stee", "minimal", "callret", "guarded"]:
         fg = load_flow_graph(name)
-        verdict = compare_with_pds(sts_of_flow_graph(fg), induce(fg), max_stack=4)
+        verdict = compare_with_pds(sts_of_flow_graph(fg), induce(fg))
         assert verdict.equivalent, (name, verdict.reason)
     stee = load_flow_graph("stee")
     pds = induce(stee)
     assert len(MUTATIONS) >= 5
     for kind in MUTATIONS:
         mutated = mutate_sts(sts_of_flow_graph(stee), kind)
-        verdict = compare_with_pds(mutated, pds, max_stack=4)
+        verdict = compare_with_pds(mutated, pds)
         assert not verdict.equivalent, kind
     done("criterion 4: translation cross-check")
 

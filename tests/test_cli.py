@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, TOGGLE_RECURSION
 
 from flowmc.cli import main
+from flowmc.sts import MUTATIONS
 
 
 def run_cli(*argv) -> tuple[int, str, str]:
@@ -274,7 +275,7 @@ def test_an_sts_name_clash_fails_from_every_command(tmp_path, command):
     assert "mangled name 'p__x' collides with another variable" in err
 
 
-@pytest.mark.parametrize("name", ["EXTENDS", "CONSTANT"])
+@pytest.mark.parametrize("name", ["EXTENDS", "CONSTANT", "IF", "CHOOSE", "Nat", "WF_x"])
 def test_emit_tla_rejects_a_variable_named_like_a_keyword(tmp_path, name):
     inp = write_program(tmp_path, "kw", (
         f"program kw\nglobal {name} : bool\ninit !{name}\n"
@@ -284,6 +285,53 @@ def test_emit_tla_rejects_a_variable_named_like_a_keyword(tmp_path, name):
     assert code == 1
     assert out == ""
     assert f"variable '{name}' collides with a reserved TLA+ identifier" in err
+
+
+@pytest.mark.parametrize("backend, program, var, message", [
+    ("nuxmv", "kw", "X", "variable 'X' collides with a reserved nuXmv identifier"),
+    ("nuxmv", "kw", "AG", "variable 'AG' collides with a reserved nuXmv identifier"),
+    ("nuxmv", "kw", "xor", "variable 'xor' collides with a reserved nuXmv identifier"),
+    ("tla", "IF", "x", "module name 'IF' is a reserved word"),
+    ("dot", "node", "x", "module name 'node' is a reserved word"),
+    ("dot", "Digraph", "x", "module name 'Digraph' is a reserved word"),
+])
+def test_emit_rejects_a_reserved_name(tmp_path, backend, program, var, message):
+    inp = write_program(tmp_path, "kw", (
+        f"program {program}\nglobal {var} : bool\ninit !{var}\n"
+        "procedure main\n  block b1\n    point r : return\n    entry r\n    exit r\n"
+    ))
+    code, out, err = run_cli("emit", inp, "--backend", backend, "--out", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "kw.apg"]
+
+
+@pytest.mark.parametrize("capacity", [None, 1, 2, 3])
+def test_crosscheck_compares_the_stacks_the_models_hold(tmp_path, capacity):
+    # every stack bound cuts this recursion, so a search that goes deeper
+    # than the comparison keeps would report a divergence
+    inp = write_program(tmp_path, "toggle", TOGGLE_RECURSION)
+    argv = [] if capacity is None else ["--stack-capacity", str(capacity)]
+    assert run_cli("crosscheck", inp, *argv) == (0, "equivalent\n", "")
+    code, out, _ = run_cli("check", inp, "--invariant", "true")
+    assert (code, out) == (3, "inconclusive: bound hit before closing the state space\n")
+
+
+@pytest.mark.parametrize("program, capacity", [("toggle", "10"), ("toggle", "2"), ("recur", "2")])
+def test_crosscheck_catches_every_mutation_at_the_capacity(tmp_path, program, capacity):
+    # recur's recursion reaches capacity 2, which the search cuts
+    inp = write_program(tmp_path, "toggle", TOGGLE_RECURSION) if program == "toggle" else fx(program)
+    argv = ("crosscheck", inp, "--stack-capacity", capacity)
+    assert run_cli(*argv) == (0, "equivalent\n", "")
+    caught = 0
+    for kind in MUTATIONS:
+        code, out, err = run_cli(*argv, "--mutate", kind)
+        if code == 2:  # the program has no site for this fault
+            assert err.startswith("error: no ")
+            continue
+        assert code == 1 and out.startswith("divergent: "), kind
+        caught += 1
+    assert caught >= 3
 
 
 def test_crosscheck_a_mutation_without_a_site_is_a_usage_error():

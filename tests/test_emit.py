@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from conftest import GOLDEN, load_flow_graph
+from conftest import GOLDEN, load_flow_graph, load_text
 
 from flowmc.emit import (
     CapacityTooSmallError,
@@ -159,26 +159,39 @@ def test_smoke_check_catches_undeclared(stee):
         check_tla_text(broken)
 
 
-def test_reserved_variable_names_are_rejected():
-    text = """
-program clash
-global node : bool
-procedure main
-  block b1
-    point r : return
-    entry r
-    exit r
-"""
-    from flowmc.ir_text import parse_program
-    from flowmc.flowgraph import translate
-
-    result = parse_program(text)
-    assert result.program is not None and not result.diagnostics
-    sts = sts_of_flow_graph(translate(result.program))
-    with pytest.raises(EmitError):
-        emit_tla(sts)
-    with pytest.raises(EmitError):
-        emit_nuxmv(sts)
+@pytest.mark.parametrize("program, var, rejected_by", [
+    pytest.param("clash", "node", {"tla", "nuxmv"}, id="node"),
+    *[pytest.param("clash", var, {"tla"}, id=var)
+      for var in ("IF", "CHOOSE", "LET", "Nat", "Seq", "LAMBDA", "STRING")],
+    # both backends keep the prefixes of the names they generate
+    *[pytest.param("clash", var, {"tla", "nuxmv"}, id=var) for var in ("WF_x", "SF_x", "st_x")],
+    *[pytest.param("clash", var, {"nuxmv"}, id=var)
+      for var in ("X", "AG", "EBF", "xor", "abs", "word1", "INVARSPEC")],
+    pytest.param("IF", "x", {"tla"}, id="program-IF"),
+    pytest.param("Nat", "x", {"tla"}, id="program-Nat"),
+    pytest.param("Integers", "x", {"tla"}, id="program-Integers"),
+    pytest.param("node", "x", {"dot"}, id="program-node"),
+    pytest.param("SubGraph", "x", {"dot"}, id="program-SubGraph"),
+    # the nuXmv model names its program only in a comment
+    pytest.param("xor", "x", set(), id="program-xor"),
+])
+def test_reserved_variable_names_are_rejected(program, var, rejected_by):
+    fg = load_text(
+        f"program {program}\nglobal {var} : bool\n"
+        "procedure main\n  block b1\n    point r : return\n    entry r\n    exit r\n"
+    )
+    sts = sts_of_flow_graph(fg)
+    emitters = {
+        "tla": lambda: check_tla_text(emit_tla(sts)[0]),
+        "nuxmv": lambda: check_nuxmv_text(emit_nuxmv(sts)),
+        "dot": lambda: emit_dot(fg),
+    }
+    for backend, emit in emitters.items():
+        if backend in rejected_by:
+            with pytest.raises(EmitError, match="reserved"):
+                emit()
+        else:
+            emit()
 
 
 def test_smv_keyword_variable_rejected_for_nuxmv_only():

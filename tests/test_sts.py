@@ -5,7 +5,7 @@ import dataclasses
 
 import pytest
 
-from conftest import load_flow_graph
+from conftest import TOGGLE_RECURSION, load_flow_graph, load_text
 
 from genprog import random_program
 
@@ -13,7 +13,6 @@ from flowmc.flowgraph import translate
 from flowmc.pds import UnsatisfiableInitError, explore, induce, sample_run
 from flowmc.sts import (
     MUTATIONS,
-    BoundMismatchError,
     StsError,
     compare_with_pds,
     execute_sts,
@@ -109,6 +108,16 @@ def test_capacity_zero_blocks_calls():
     assert any(cause == "stack-overflow" for _, cause in report.deadlocks)
 
 
+def test_a_call_without_a_node_test_overflows_at_every_node():
+    sts = sts_of_flow_graph(load_flow_graph("callret"), stack_capacity=1)
+    actions = tuple(
+        dataclasses.replace(a, source=None) if a.kind == "call" else a for a in sts.actions
+    )
+    report = execute_sts(dataclasses.replace(sts, actions=actions))
+    # n_q1 is inside the callee, not where callret calls it
+    assert [(s.node, cause) for s, cause in report.deadlocks] == [("n_q1", "stack-overflow")]
+
+
 def test_stack_encoding_matches_pds_along_runs(stee):
     sts = sts_of_flow_graph(stee)
     pds = induce(stee)
@@ -117,7 +126,7 @@ def test_stack_encoding_matches_pds_along_runs(stee):
     states = {project_state(sts, s): s for s in sts_initial_states(sts)}
     current = next(s for c, s in states.items() if c == trace.configurations[0])
     for config in trace.configurations[1:]:
-        succ, _ = sts_successors(sts, current)
+        succ = sts_successors(sts, current)
         matches = [s for s in succ if project_state(sts, s) == config]
         assert len(matches) == 1
         current = matches[0]
@@ -130,7 +139,7 @@ def test_stack_encoding_matches_pds_along_runs(stee):
 def test_push_pop_inverse():
     sts = sts_of_flow_graph(load_flow_graph("boolcall"))
     state = sts_initial_states(sts)[0]
-    pushed, _ = sts_successors(sts, state)
+    pushed = sts_successors(sts, state)
     call_states = [s for s in pushed if s.stack]
     assert call_states
     for s in call_states:
@@ -142,7 +151,21 @@ def test_push_pop_inverse():
 @pytest.mark.parametrize("name", ["stee", "minimal", "callret", "guarded", "boolcall", "smallguard"])
 def test_translation_crosscheck_equivalent(name):
     fg = load_flow_graph(name)
-    verdict = compare_with_pds(sts_of_flow_graph(fg), induce(fg), max_stack=4)
+    verdict = compare_with_pds(sts_of_flow_graph(fg), induce(fg))
+    assert verdict.equivalent, (verdict.reason, verdict.witness)
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 3, 10])
+def test_sts_holds_the_configurations_one_frame_deeper_than_its_capacity(capacity):
+    # the region compare_with_pds keeps of the PDS search
+    fg = load_text(TOGGLE_RECURSION)
+    pds = induce(fg)
+    sts = sts_of_flow_graph(fg, stack_capacity=capacity)
+    states = execute_sts(sts).states
+    assert max(len(state.stack) for state in states) == capacity
+    region = explore(pds, max_stack=capacity + 1).visited
+    assert {project_state(sts, state) for state in states} == set(region)
+    verdict = compare_with_pds(sts, pds)
     assert verdict.equivalent, (verdict.reason, verdict.witness)
 
 
@@ -150,7 +173,7 @@ def test_translation_crosscheck_equivalent(name):
 def test_mutations_are_caught(stee, kind):
     pds = induce(stee)
     sts = mutate_sts(sts_of_flow_graph(stee), kind)
-    verdict = compare_with_pds(sts, pds, max_stack=4)
+    verdict = compare_with_pds(sts, pds)
     assert not verdict.equivalent
     assert verdict.reason
 
@@ -166,12 +189,6 @@ def test_drop_frame_havocs_one_framed_variable(stee):
     assert mutated.unchanged(dropped) == kept[1:]
 
 
-def test_bound_mismatch():
-    fg = load_flow_graph("minimal")
-    with pytest.raises(BoundMismatchError):
-        compare_with_pds(sts_of_flow_graph(fg, stack_capacity=2), induce(fg), max_stack=5)
-
-
 @pytest.mark.parametrize("seed", range(60))
 def test_bisimulation_on_generated_programs(seed):
     prog = random_program(seed)
@@ -180,7 +197,7 @@ def test_bisimulation_on_generated_programs(seed):
         pds = induce(fg)
     except UnsatisfiableInitError:
         return
-    verdict = compare_with_pds(sts_of_flow_graph(fg, stack_capacity=6), pds, max_stack=6)
+    verdict = compare_with_pds(sts_of_flow_graph(fg, stack_capacity=6), pds)
     assert verdict.equivalent, (seed, verdict.reason, verdict.witness)
 
 
@@ -190,5 +207,5 @@ def test_recursion_bounded_by_stack_capacity():
     report = explore(pds, max_stack=6)
     assert not report.truncated
     assert report.max_stack_depth == 3
-    verdict = compare_with_pds(sts_of_flow_graph(fg, stack_capacity=8), pds, max_stack=6)
+    verdict = compare_with_pds(sts_of_flow_graph(fg, stack_capacity=8), pds)
     assert verdict.equivalent, (verdict.reason, verdict.witness)
