@@ -58,6 +58,13 @@ class StackFrame:
     node: str
     locals: Env
 
+    def __post_init__(self) -> None:
+        # searches hash frames and configurations millions of times
+        object.__setattr__(self, "_hash", hash((self.node, self.locals)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def locals_dict(self) -> dict[str, Value]:
         return dict(self.locals)
 
@@ -70,6 +77,12 @@ class Configuration:
     globals: Env
     stack: tuple[StackFrame, ...]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.globals, self.stack)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def globals_dict(self) -> dict[str, Value]:
         return dict(self.globals)
 
@@ -80,6 +93,10 @@ class Configuration:
     @property
     def depth(self) -> int:
         return len(self.stack)
+
+
+# a step of a top frame: (post globals, frames that replace the top)
+Step = tuple[Env, tuple[StackFrame, ...]]
 
 
 @dataclass(frozen=True)
@@ -139,6 +156,8 @@ class InducedPds:
     _domains: dict[str, dict[str, Domain]] = field(default_factory=dict)
     # node -> its outgoing edges, sorted by (dst, label)
     _edges_from: dict[str, list[FlowEdge]] = field(default_factory=dict)
+    # (top frame, globals) -> its steps; see _steps
+    _step_memo: dict[tuple[StackFrame, Env], tuple[Step, ...]] = field(default_factory=dict, init=False)
 
     def proc_of(self, node: str) -> str:
         try:
@@ -194,10 +213,17 @@ def induce(fg: FlowGraph) -> InducedPds:
     return InducedPds(fg, initial, proc_of_node, domains, edges_from)
 
 
-def successors(pds: InducedPds, config: Configuration) -> list[Configuration]:
-    """Immediate successors, deterministically ordered."""
+def _steps(pds: InducedPds, top: StackFrame, globals_: Env) -> tuple[Step, ...]:
+    """The steps of a configuration with this top frame and these globals,
+    as (post globals, frames that replace the top) in successor order,
+    without duplicates.  No frames means a pop, which needs a frame below
+    the top.  A step reads nothing else, so each is computed once per
+    ``InducedPds``; an evaluation error is raised, not kept."""
+    key = (top, globals_)
+    steps = pds._step_memo.get(key)
+    if steps is not None:
+        return steps
     fg = pds.flow_graph
-    top = config.top
     proc_name = pds.proc_of(top.node)
     proc = fg.procedures[proc_name]
     local_names = {d.name for d in proc.locals}
@@ -206,32 +232,31 @@ def successors(pds: InducedPds, config: Configuration) -> list[Configuration]:
             f"frame at '{top.node}' does not carry the locals of '{proc_name}'"
         )
 
-    pre = State(top.locals, config.globals)
+    pre = State(top.locals, globals_)
     posts = enumerate_posts(pds.action_of(top.node), pre, pds.frame_domains(proc_name))
 
-    out: list[Configuration] = []
-    seen: set[tuple] = set()
-
-    def push(c: Configuration) -> None:
-        key = (c.globals, c.stack)
-        if key not in seen:
-            seen.add(key)
-            out.append(c)
-
+    out: dict[Step, None] = {}
     for edge in pds._edges_from[top.node]:
         for post in posts:
             if edge.label is None:
-                frame = StackFrame(edge.dst, post.locals)
-                push(Configuration(post.globals, (frame,) + config.stack[1:]))
+                out[post.globals, (StackFrame(edge.dst, post.locals),)] = None
             else:
                 callee = fg.procedures[edge.label]
                 callee_frame = StackFrame(callee.entry, freeze_env(callee.init_locals))
                 saved = StackFrame(edge.dst, post.locals)
-                push(Configuration(post.globals, (callee_frame, saved) + config.stack[1:]))
-    if top.node == proc.return_node and proc_name != fg.main and len(config.stack) > 1:
+                out[post.globals, (callee_frame, saved)] = None
+    if top.node == proc.return_node and proc_name != fg.main:
         for post in posts:
-            push(Configuration(post.globals, config.stack[1:]))
-    return out
+            out[post.globals, ()] = None
+    steps = pds._step_memo[key] = tuple(out)
+    return steps
+
+
+def successors(pds: InducedPds, config: Configuration) -> list[Configuration]:
+    """Immediate successors, deterministically ordered."""
+    rest = config.stack[1:]
+    steps = _steps(pds, config.top, config.globals)
+    return [Configuration(g, frames + rest) for g, frames in steps if frames or rest]
 
 
 S = TypeVar("S", bound=Hashable)
@@ -241,19 +266,18 @@ S = TypeVar("S", bound=Hashable)
 class Search(Generic[S]):
     """What one bounded BFS saw.  ``parents`` holds every discovered state
     and the state it was first reached from (``None`` for an initial state),
-    in discovery order; ``successors`` the successor tuple of every expanded
-    state, in expansion order; ``found`` the first state the stop predicate
-    accepted.  ``cut`` is ``"max-steps"`` when a discovered state was left
-    unexpanded, else ``"max-stack"`` when the keep filter dropped a state."""
+    in discovery order, which is also expansion order: its first
+    ``expanded`` states were expanded.  ``deadlocks`` are the expanded
+    states without successors, in expansion order; ``found`` the first
+    state the stop predicate accepted.  ``cut`` is ``"max-steps"`` when a
+    discovered state was left unexpanded, else ``"max-stack"`` when the
+    keep filter dropped a state."""
 
     parents: dict[S, Optional[S]]
-    successors: dict[S, tuple[S, ...]]
+    expanded: int
+    deadlocks: list[S]
     found: Optional[S]
     cut: Optional[str]
-
-    @property
-    def deadlocks(self) -> list[S]:
-        return [state for state, succ in self.successors.items() if not succ]
 
     def path_to(self, state: S) -> tuple[S, ...]:
         chain = [state]
@@ -273,7 +297,8 @@ def bounded_search(
     ``max_steps`` states.  Successors rejected by ``keep`` are dropped;
     the search ends at the first discovered state ``stop`` accepts."""
     parents: dict[S, Optional[S]] = {}
-    expanded: dict[S, tuple[S, ...]] = {}
+    deadlocks: list[S] = []
+    expanded = 0
     queue: deque[S] = deque()
     cut: Optional[str] = None
     # the initial states are discovered like the successors of a virtual
@@ -288,14 +313,17 @@ def bounded_search(
             if state not in parents:
                 parents[state] = parent
                 if stop is not None and stop(state):
-                    return Search(parents, expanded, state, cut)
+                    return Search(parents, expanded, deadlocks, state, cut)
                 queue.append(state)
         if not queue:
-            return Search(parents, expanded, None, cut)
-        if len(expanded) >= max_steps:
-            return Search(parents, expanded, None, "max-steps")
+            return Search(parents, expanded, deadlocks, None, cut)
+        if expanded >= max_steps:
+            return Search(parents, expanded, deadlocks, None, "max-steps")
         parent = queue.popleft()
-        batch = expanded[parent] = tuple(step(parent))
+        expanded += 1
+        batch = tuple(step(parent))
+        if not batch:
+            deadlocks.append(parent)
 
 
 def explore(pds: InducedPds, max_steps: int = 100_000, max_stack: int = 64) -> ExploreReport:
@@ -313,7 +341,8 @@ def explore(pds: InducedPds, max_steps: int = 100_000, max_stack: int = 64) -> E
         list(search.parents),
         search.deadlocks,
         search.cut is not None,
-        max((config.depth for config in search.successors), default=0),
+        max((config.depth for config in itertools.islice(search.parents, search.expanded)),
+            default=0),
     )
 
 
@@ -337,12 +366,20 @@ def check_invariant(
     kind = infer_type(phi, scope)
     if kind != "bool":
         raise ExprTypeError(f"invariant must be boolean, got {kind}")
+    # phi reads only the globals: evaluate it once per valuation
+    violated: dict[Env, bool] = {}
+
+    def violates(config: Configuration) -> bool:
+        if config.globals not in violated:
+            violated[config.globals] = not bool(eval_expr(phi, config.globals_dict()))
+        return violated[config.globals]
+
     search = bounded_search(
         pds.initial,
         lambda config: successors(pds, config),
         max_steps,
         keep=lambda config: config.depth <= max_stack,
-        stop=lambda config: not bool(eval_expr(phi, config.globals_dict())),
+        stop=violates,
     )
     if search.found is not None:
         return Verdict(False, False, Trace(search.path_to(search.found), complete=True))

@@ -405,21 +405,32 @@ def compare_with_pds(
     ``stack_capacity + 1`` frames: both cover the same region.
     Inconclusive when ``max_steps`` left either state space unexpanded."""
     max_depth = sts.stack_capacity + 1
+    # the successor tuple of every expanded state, for the step comparison
+    pds_succ: dict[Configuration, tuple[Configuration, ...]] = {}
+    sts_succ: dict[StsState, tuple[StsState, ...]] = {}
     pds_search = bounded_search(
         pds.initial,
-        lambda config: pds_successors(pds, config),
+        lambda config: pds_succ.setdefault(config, tuple(pds_successors(pds, config))),
         max_steps,
         keep=lambda config: config.depth <= max_depth,
     )
     sts_search = bounded_search(
-        sts_initial_states(sts), lambda state: sts_successors(sts, state), max_steps
+        sts_initial_states(sts),
+        lambda state: sts_succ.setdefault(state, tuple(sts_successors(sts, state))),
+        max_steps,
     )
     if "max-steps" in (pds_search.cut, sts_search.cut):
         return EquivalenceVerdict(
             False, "bound hit before closing the state space", inconclusive=True
         )
 
-    projection = {s: project_state(sts, s) for s in sts_search.parents}
+    # each projection that the PDS search reached is replaced by the equal
+    # configuration it holds, so the two share frames and stacks
+    reached = {config: config for config in pds_search.parents}
+    projection = {}
+    for state in sts_search.parents:
+        config = project_state(sts, state)
+        projection[state] = reached.get(config, config)
 
     by_config: dict[Configuration, StsState] = {}
     for state, config in projection.items():
@@ -453,8 +464,8 @@ def compare_with_pds(
     # the step relations must agree through the projection; both searches
     # closed, so every state compared here was expanded
     for state, config in projection.items():
-        succ_sts = {projection[s] for s in sts_search.successors[state]}
-        succ_pds = {c for c in pds_search.successors[config] if c.depth <= max_depth}
+        succ_sts = {projection[s] for s in sts_succ[state]}
+        succ_pds = {c for c in pds_succ[config] if c.depth <= max_depth}
         if succ_sts != succ_pds:
             diff = succ_sts ^ succ_pds
             witness = min(diff, key=format_config) if diff else config

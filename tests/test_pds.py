@@ -1,19 +1,24 @@
 """Pushdown semantics: the lazy successor relation against a materialized
 rewrite-rule oracle, exploration, invariant checking, and run sampling."""
 
+import contextlib
+import dataclasses
+import io
 import itertools
 
 import pytest
 
-from conftest import load_flow_graph
+from conftest import FIXTURES, load_flow_graph, load_text
 
 from genprog import random_program
 
-from flowmc.actions import State, eval_action
-from flowmc.expr import ExprTypeError, parse_expr
-from flowmc.flowgraph import translate
+from flowmc.actions import InfiniteDomainError, State, eval_action
+from flowmc.cli import main
+from flowmc.expr import EvalError, ExprTypeError, parse_expr
+from flowmc.flowgraph import TranslateError, translate
 from flowmc.pds import (
     Configuration,
+    MalformedConfigurationError,
     NoInitialConfigurationError,
     NonGlobalVariableError,
     StackFrame,
@@ -368,3 +373,95 @@ def test_trace_serialization_format():
     assert "| (n_m1)" in lines[0]
     assert "(n_s1 primary_info=false sndary_info=false) (n_m3)" in lines[2]
     assert format_config(verdict.trace.configurations[0]).count("|") == 1
+
+
+# ---------------------------------------------------------------------------
+# memoised steps and cached hashes
+
+
+@pytest.mark.parametrize("case", [p.stem for p in sorted(FIXTURES.glob("*.apg"))] + list(range(50)))
+def test_warm_pds_steps_like_a_fresh_one(case):
+    try:
+        fg = load_flow_graph(case) if isinstance(case, str) else translate(random_program(case))
+        warm = induce(fg)
+    except (TranslateError, InfiniteDomainError, UnsatisfiableInitError):
+        return
+    report = explore(warm)
+    for config in report.visited:
+        assert successors(warm, config) == successors(induce(fg), config)
+
+
+def test_equal_frames_and_configurations_hash_equal():
+    def frame(b):
+        return StackFrame("n_d1", freeze_env({"b": b, "x": 1}))
+
+    assert frame(True) == frame(True) and frame(True) is not frame(True)
+    assert hash(frame(True)) == hash(frame(True))
+    assert frame(True) != frame(False)
+    config = Configuration(freeze_env({"g": 0}), (frame(True), StackFrame("n_m2", ())))
+    same = Configuration(freeze_env({"g": 0}), (frame(True), StackFrame("n_m2", ())))
+    assert config == same and hash(config) == hash(same)
+    assert config != Configuration(config.globals, (frame(False),) + config.stack[1:])
+    assert config != Configuration(freeze_env({"g": 1}), config.stack)
+
+    moved = dataclasses.replace(frame(True), node="n_d2")
+    assert moved == StackFrame("n_d2", frame(True).locals)
+    assert hash(moved) == hash(StackFrame("n_d2", frame(True).locals))
+    popped = dataclasses.replace(config, stack=config.stack[1:])
+    assert popped == Configuration(config.globals, (StackFrame("n_m2", ()),))
+    assert hash(popped) == hash(Configuration(config.globals, (StackFrame("n_m2", ()),)))
+    assert repr(frame(True)) == "StackFrame(node='n_d1', locals=(('b', True), ('x', 1)))"
+
+
+def test_a_return_pops_only_onto_a_frame():
+    fg = load_flow_graph("boolcall")
+    pds = induce(fg)
+    q = fg.procedures["q"]
+    top = StackFrame(q.return_node, freeze_env({"t": False}))
+    below = StackFrame("n_m2", ())
+    g = freeze_env({"flag": True})
+    # the deeper configuration first, so the single frame meets a warm memo
+    assert successors(pds, Configuration(g, (top, below))) == [Configuration(g, (below,))]
+    assert successors(pds, Configuration(g, (top,))) == []
+
+
+def test_a_malformed_frame_is_rejected_by_a_warm_pds(stee):
+    pds = induce(stee)
+    explore(pds)
+    config = pds.initial[0]
+    bad = Configuration(config.globals, (StackFrame(config.top.node, freeze_env({"zz": 0})),))
+    with pytest.raises(MalformedConfigurationError):
+        successors(pds, bad)
+
+
+DIVIDE_BY_ZERO = """\
+program dz
+global x : int 0..2
+global y : int 0..2
+init x == 0 && y == 0
+procedure main
+  block b1
+    point a : y := 1 / x
+    point r : return
+    edge a -> r
+    entry a
+    exit r
+"""
+
+
+def test_an_evaluation_error_is_raised_again():
+    pds = induce(load_text(DIVIDE_BY_ZERO))
+    for _ in range(2):
+        with pytest.raises(EvalError, match="division by zero"):
+            successors(pds, pds.initial[0])
+    pds = induce(load_flow_graph("mode"))
+    phi = parse_expr("1 / mode == 1")
+    for _ in range(2):
+        with pytest.raises(EvalError, match="division by zero"):
+            check_invariant(pds, phi)
+    path = FIXTURES / "mode.apg"
+    for _ in range(2):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check", str(path), "--invariant", "1 / mode == 1"])
+        assert (code, out.getvalue(), err.getvalue()) == (1, "", "error: division by zero\n")

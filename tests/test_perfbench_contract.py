@@ -65,3 +65,18 @@ def test_crosscheck_calls_the_wrapped_sts_bindings(tracer_module):
     for name in ("sts.pds_successors", "sts.sts_successors", "expr.eval_expr@sts",
                  "actions.enumerate_posts", "expr.eval_expr@actions"):
         assert stats.get(name, [0])[0] > 0, name
+
+
+def test_back_to_back_checks_do_the_same_work(tracer_module):
+    # step memos live on the InducedPds one command builds: a second run
+    # in the same process must not find the first run's steps
+    argv = ["check", str(FIXTURES / "recur.apg"), "--invariant", "true"]
+    counts = []
+    for _ in range(2):
+        code, out, command = _traced(tracer_module, argv)
+        assert (code, out) == (0, "holds\n")
+        stats = command["stats"]
+        counts.append([stats.get(name, [0])[0]
+                       for name in ("expr.eval_expr@actions", "actions.enumerate_posts")])
+    assert counts[0] == counts[1]
+    assert min(counts[0]) > 0
