@@ -38,6 +38,7 @@ from .expr import (
     Unary,
     VarRef,
     conjuncts,
+    free_vars,
 )
 from .flowgraph import FlowGraph
 from .sts import STACK_PADDING, Sts, StsAction
@@ -84,7 +85,7 @@ _TLA_WORDS = frozenset("""
 # ... and the identifiers the TLA+ emitter defines
 _TLA_RESERVED = _TLA_WORDS | {
     "node", "stack_nodes", "stack_locals", "vars", "Init", "Next", "Spec",
-    "LocalsSnapshot", "StackBound", "STACK_CAPACITY",
+    "LocalsSnapshot", "STACK_CAPACITY",
 }
 # The identifiers the nuXmv emitter defines, and the keywords, temporal
 # operators and built-in functions of the nuXmv manual
@@ -213,6 +214,7 @@ def emit_tla(sts: Sts, opts: EmitterOptions = EmitterOptions()) -> tuple[str, st
     name = _module_name(sts.module_name, _TLA_WORDS)
     # keywords too: check_tla_text counts them as declared, so it would pass one
     _check_names(sts, _TLA_RESERVED | _TLA_KEYWORDS, "TLA+")
+    _check_capacity(sts)
     for scalar in sts.scalar_names:
         if not sts.domains[scalar].is_finite:
             raise UnboundedDomainError(
@@ -236,8 +238,6 @@ def emit_tla(sts: Sts, opts: EmitterOptions = EmitterOptions()) -> tuple[str, st
     lines.append("")
     snapshot = ", ".join(sts.locals_order)
     lines.append(f"LocalsSnapshot == <<{snapshot}>>")
-    lines.append("")
-    lines.append("StackBound == Len(stack_nodes) <= STACK_CAPACITY")
     lines.append("")
 
     init_conjuncts = [
@@ -265,8 +265,7 @@ def emit_tla(sts: Sts, opts: EmitterOptions = EmitterOptions()) -> tuple[str, st
     lines.append("====")
     module = "\n".join(lines) + "\n"
 
-    cfg_lines = ["SPECIFICATION Spec", "CONSTRAINT StackBound",
-                 f"CONSTANT STACK_CAPACITY = {sts.stack_capacity}"]
+    cfg_lines = ["SPECIFICATION Spec", f"CONSTANT STACK_CAPACITY = {sts.stack_capacity}"]
     for scalar in scalars:
         domain = sts.domains[scalar]
         if domain.kind == "bool":
@@ -276,6 +275,18 @@ def emit_tla(sts: Sts, opts: EmitterOptions = EmitterOptions()) -> tuple[str, st
         cfg_lines.append(f"CONSTANT Dom_{scalar} = {values}")
     config = "\n".join(cfg_lines) + "\n"
     return module, config
+
+
+def _tla_rank(part: Expr) -> int:
+    """TLC evaluates an action's conjuncts left to right, and ``x' = e`` or
+    ``x' \\in S`` gives ``x'`` its value, so a body conjunct comes after the
+    ones that assign what it reads: first guards, identities and updates
+    that read no primed variable, then havocs, then the rest."""
+    if isinstance(part, Binary) and isinstance(part.right, AnyVal):
+        return 1
+    if isinstance(part, Binary) and part.op == "==" and isinstance(part.left, VarRef):
+        part = part.right
+    return 0 if not free_vars(part)[1] else 2
 
 
 def _tla_action(sts: Sts, action: StsAction) -> list[str]:
@@ -296,10 +307,8 @@ def _tla_action(sts: Sts, action: StsAction) -> list[str]:
         for index, local in enumerate(sts.locals_order, start=1):
             parts.append(f"{local}' = Head(stack_locals)[{index}]")
         parts.append("stack_locals' = Tail(stack_locals)")
-    for part in conjuncts(action.body.expr):
-        if part == TRUE:
-            continue
-        parts.append(render_tla(part))
+    body = [part for part in conjuncts(action.body.expr) if part != TRUE]
+    parts += [render_tla(part) for part in sorted(body, key=_tla_rank)]
     unchanged = ["stack_nodes", "stack_locals"] if action.kind == "silent" else []
     unchanged += sts.unchanged(action)
     if unchanged:
@@ -345,18 +354,24 @@ def static_call_depth(sts: Sts) -> Optional[int]:
     return depth_of(main)
 
 
+def _check_capacity(sts: Sts) -> None:
+    """Both models block a call on a full stack, so a capacity below the
+    static call depth would hide the calls that do not fit."""
+    depth_needed = static_call_depth(sts)
+    if depth_needed is not None and depth_needed > sts.stack_capacity:
+        raise CapacityTooSmallError(
+            f"call depth {depth_needed} exceeds the stack capacity {sts.stack_capacity}"
+        )
+
+
 def emit_nuxmv(sts: Sts, opts: EmitterOptions = EmitterOptions()) -> str:
     """nuXmv model: enumerated node variable, the stack flattened into
     per-slot scalars plus a depth counter, one DEFINE per action, TRANS as
     their disjunction.  Byte-deterministic."""
     name = _module_name(sts.module_name)
     _check_names(sts, _SMV_RESERVED, "nuXmv")
+    _check_capacity(sts)
     cap = sts.stack_capacity
-    depth_needed = static_call_depth(sts)
-    if depth_needed is not None and depth_needed > cap:
-        raise CapacityTooSmallError(
-            f"call depth {depth_needed} exceeds the stack capacity {cap}"
-        )
 
     def smv_domain(domain: Domain) -> str:
         if domain.kind == "bool":

@@ -8,7 +8,9 @@ a snapshot of all locals, and return actions pop and restore.  Because a
 pop restores every local from the snapshot, inactive procedures' locals
 always hold canonical values, which makes reachable system states
 correspond one-to-one with reachable pushdown configurations; the
-interpreter here is the oracle that checks exactly that.
+interpreter here is the oracle that checks exactly that, in one search
+over the system states that steps the pushdown system alongside through
+``project_state``.
 """
 
 from __future__ import annotations
@@ -393,87 +395,66 @@ def project_state(sts: Sts, state: StsState) -> Configuration:
     return Configuration(freeze_env(global_env), tuple(frames))
 
 
+class _Divergence(Exception):
+    """Ends the search at the first difference; carries the verdict."""
+
+    def __init__(self, reason: str, configs: set[Configuration]) -> None:
+        super().__init__(reason)
+        witness = format_config(min(configs, key=format_config))
+        self.verdict = EquivalenceVerdict(False, reason, witness)
+
+
 def compare_with_pds(
     sts: Sts, pds: InducedPds, max_steps: int = 100_000
 ) -> EquivalenceVerdict:
-    """Exhaustively check that reachable system states and reachable
+    """Check in one search that reachable system states and reachable
     configurations correspond one-to-one and step together.
 
-    Both emitted models block a call once ``sts.stack_capacity`` frames
-    are saved under the current one, so the STS search needs no depth
-    bound, and the PDS search keeps the configurations of at most
-    ``stack_capacity + 1`` frames: both cover the same region.
-    Inconclusive when ``max_steps`` left either state space unexpanded."""
+    The search walks the system states.  The projected initial states
+    must be the PDS's initial configurations, the projection must be
+    one-to-one on the states reached, and at each expanded state the
+    projected successors must be the PDS successors of its projection.
+    By induction on the search, the two reachable spaces then coincide
+    through the projection, step for step.  Both emitted models block a
+    call once ``sts.stack_capacity`` frames are saved under the current
+    one, so the PDS successors kept are those of at most
+    ``stack_capacity + 1`` frames.  The first difference is the verdict,
+    its witness the least configuration of that difference; inconclusive
+    when ``max_steps`` left a state unexpanded before any difference."""
     max_depth = sts.stack_capacity + 1
-    # the successor tuple of every expanded state, for the step comparison
-    pds_succ: dict[Configuration, tuple[Configuration, ...]] = {}
-    sts_succ: dict[StsState, tuple[StsState, ...]] = {}
-    pds_search = bounded_search(
-        pds.initial,
-        lambda config: pds_succ.setdefault(config, tuple(pds_successors(pds, config))),
-        max_steps,
-        keep=lambda config: config.depth <= max_depth,
-    )
-    sts_search = bounded_search(
-        sts_initial_states(sts),
-        lambda state: sts_succ.setdefault(state, tuple(sts_successors(sts, state))),
-        max_steps,
-    )
-    if "max-steps" in (pds_search.cut, sts_search.cut):
+    projection: dict[StsState, Configuration] = {}
+    owner: dict[Configuration, StsState] = {}
+
+    def project(state: StsState) -> Configuration:
+        config = projection.get(state)
+        if config is None:
+            config = projection[state] = project_state(sts, state)
+            if owner.setdefault(config, state) is not state:
+                raise _Divergence("projection is not injective", {config})
+        return config
+
+    def step(state: StsState) -> list[StsState]:
+        succ = sts_successors(sts, state)
+        got = {project(s) for s in succ}
+        want = {c for c in pds_successors(pds, project(state)) if c.depth <= max_depth}
+        if got != want:
+            if want - got:
+                raise _Divergence("configuration unreachable in the STS", want - got)
+            raise _Divergence("STS state has no reachable configuration", got - want)
+        return succ
+
+    initial = sts_initial_states(sts)
+    try:
+        got = {project(s) for s in initial}
+        if got != set(pds.initial):
+            raise _Divergence("initial states differ", got ^ set(pds.initial))
+        search = bounded_search(initial, step, max_steps)
+    except _Divergence as divergence:
+        return divergence.verdict
+    if search.cut == "max-steps":
         return EquivalenceVerdict(
             False, "bound hit before closing the state space", inconclusive=True
         )
-
-    # each projection that the PDS search reached is replaced by the equal
-    # configuration it holds, so the two share frames and stacks
-    reached = {config: config for config in pds_search.parents}
-    projection = {}
-    for state in sts_search.parents:
-        config = project_state(sts, state)
-        projection[state] = reached.get(config, config)
-
-    by_config: dict[Configuration, StsState] = {}
-    for state, config in projection.items():
-        if config in by_config:
-            return EquivalenceVerdict(
-                False,
-                "projection is not injective",
-                format_config(config),
-            )
-        by_config[config] = state
-
-    pds_configs = set(pds_search.parents)
-    sts_configs = set(by_config)
-    only_pds = pds_configs - sts_configs
-    if only_pds:
-        witness = min(only_pds, key=format_config)
-        return EquivalenceVerdict(False, "configuration unreachable in the STS", format_config(witness))
-    only_sts = sts_configs - pds_configs
-    if only_sts:
-        witness = min(only_sts, key=format_config)
-        return EquivalenceVerdict(False, "STS state has no reachable configuration", format_config(witness))
-
-    # initial states must coincide
-    init_sts = {projection[s] for s, parent in sts_search.parents.items() if parent is None}
-    init_pds = set(pds.initial)
-    if init_sts != init_pds:
-        diff = init_sts ^ init_pds
-        witness = min(diff, key=format_config)
-        return EquivalenceVerdict(False, "initial states differ", format_config(witness))
-
-    # the step relations must agree through the projection; both searches
-    # closed, so every state compared here was expanded
-    for state, config in projection.items():
-        succ_sts = {projection[s] for s in sts_succ[state]}
-        succ_pds = {c for c in pds_succ[config] if c.depth <= max_depth}
-        if succ_sts != succ_pds:
-            diff = succ_sts ^ succ_pds
-            witness = min(diff, key=format_config) if diff else config
-            return EquivalenceVerdict(
-                False,
-                f"step relations differ at {format_config(config)}",
-                format_config(witness),
-            )
     return EquivalenceVerdict(True, "reachable states and steps coincide")
 
 

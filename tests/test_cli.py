@@ -188,6 +188,21 @@ def test_crosscheck_truncation_is_inconclusive():
     assert out.strip() == "inconclusive: bound hit before closing the state space"
 
 
+def test_crosscheck_reports_a_wrong_init_as_differing_initial_states():
+    code, out, _ = run_cli("crosscheck", fx("stee"), "--mutate", "wrong-init")
+    assert code == 1
+    assert out.splitlines()[0] == "divergent: initial states differ"
+
+
+@pytest.mark.parametrize("kind, expected", [("swap-push", 1), ("drop-return-test", 3)])
+def test_crosscheck_reports_a_difference_found_before_the_bound(kind, expected):
+    # swap-push diverges within three expansions of recur's one search;
+    # drop-return-test needs more, so the bound stops that search first
+    code, out, _ = run_cli("crosscheck", fx("recur"), "--mutate", kind, "--max-steps", "3")
+    assert code == expected
+    assert out.startswith("divergent: " if expected == 1 else "inconclusive: ")
+
+
 def test_identical_invocations_identical_bytes():
     first = run_cli("check", fx("mode"), "--invariant", "mode != 2")
     second = run_cli("check", fx("mode"), "--invariant", "mode != 2")
@@ -354,3 +369,43 @@ def test_the_module_entry_point_returns_the_usage_exit_code():
     assert proc.stdout == ""
     assert "unrecognized arguments: --bogus" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# main calls a, a calls b: the program needs 2 saved frames
+NEST = """\
+program nest
+global x : bool
+init !x
+procedure main
+  block b1
+    point c : call a
+    point r : return
+    edge c -> r
+    entry c
+    exit r
+procedure a
+  block b1
+    point c : call b
+    point r : return
+    edge c -> r
+    entry c
+    exit r
+procedure b
+  block b1
+    point t : x := true
+    point r : return
+    edge t -> r
+    entry t
+    exit r
+"""
+
+
+@pytest.mark.parametrize("backend", ["tla", "nuxmv"])
+def test_both_backends_reject_a_capacity_below_the_call_depth(tmp_path, backend):
+    inp = write_program(tmp_path, "nest", NEST)
+    out_dir = tmp_path / "out"
+    argv = ("emit", inp, "--backend", backend, "--out", str(out_dir), "--stack-capacity")
+    assert run_cli(*argv, "1") == (1, "", "error: call depth 2 exceeds the stack capacity 1\n")
+    assert not out_dir.exists()
+    code, _, _ = run_cli(*argv, "2")
+    assert code == 0

@@ -9,6 +9,7 @@ from conftest import TOGGLE_RECURSION, load_flow_graph, load_text
 
 from genprog import random_program
 
+import flowmc.sts
 from flowmc.flowgraph import translate
 from flowmc.pds import UnsatisfiableInitError, explore, induce, sample_run
 from flowmc.sts import (
@@ -209,3 +210,24 @@ def test_recursion_bounded_by_stack_capacity():
     assert report.max_stack_depth == 3
     verdict = compare_with_pds(sts_of_flow_graph(fg, stack_capacity=8), pds)
     assert verdict.equivalent, (verdict.reason, verdict.witness)
+
+
+def test_compare_with_pds_walks_the_sts_once(stee, monkeypatch):
+    sts = sts_of_flow_graph(stee)
+    reachable = len(execute_sts(sts).states)
+    calls = {"bounded_search": 0, "sts_successors": 0}
+
+    def counted(name):
+        original = getattr(flowmc.sts, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(flowmc.sts, name, counted(name))
+    verdict = compare_with_pds(sts, induce(stee))
+    assert verdict.equivalent, (verdict.reason, verdict.witness)
+    assert calls == {"bounded_search": 1, "sts_successors": reachable}
