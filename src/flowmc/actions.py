@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Optional
 
 from .expr import (
     AnyVal,
@@ -23,6 +23,7 @@ from .expr import (
     ExprError,
     IntLit,
     OldRef,
+    TRUE,
     Value,
     VarRef,
     conj,
@@ -84,6 +85,16 @@ class State:
 # Actions
 
 
+# A top-level conjunct of an action as (kind, var, conjunct).  ``kind`` is
+# ``guard`` (it reads the pre-state only), ``identity`` (``v' == v``),
+# ``update`` (``v' == e``, ``e`` over the pre-state), ``havoc`` (``v' ==
+# any(D)``) or ``residual`` (anything else); ``var`` is the ``v`` of the
+# middle three and ``None`` for the others.  Plain tuples: a wide model
+# has thousands of conjuncts, and a named tuple costs over ten times as
+# much to build.
+Conjunct = tuple[str, Optional[str], Expr]
+
+
 @dataclass(frozen=True)
 class Action:
     """A relation on states.  ``reads``/``writes`` are derived from the
@@ -104,23 +115,46 @@ class Action:
     def __str__(self) -> str:
         return self.describe or to_str(self.expr)
 
+    @property
+    def shape(self) -> tuple[Conjunct, ...]:
+        """The conjuncts with their shapes (see ``classify``).  Not kept:
+        ``pins`` keeps what enumeration reads, and wide models hold
+        thousands of conjuncts that would lengthen every collection."""
+        return classify(self.expr)
+
     @functools.cached_property
     def pins(self) -> dict[str, tuple[Expr, ...]]:
-        """The top-level conjuncts ``v' == rhs`` whose ``rhs`` reads only
-        the pre-state and is not ``any(...)``: variable -> right-hand sides.
-        Derived on first use, since most actions are never enumerated."""
+        """The right-hand sides of the identity and update conjuncts, by
+        variable, in conjunct order.  Derived on first use, since most
+        actions are never enumerated."""
         pins: dict[str, tuple[Expr, ...]] = {}
-        for part in conjuncts(self.expr):
-            if (
-                isinstance(part, Binary)
-                and part.op == "=="
-                and isinstance(part.left, VarRef)
-                and part.left.primed
-                and not isinstance(part.right, AnyVal)
-                and not free_vars(part.right)[1]
-            ):
-                pins[part.left.name] = pins.get(part.left.name, ()) + (part.right,)
+        for kind, var, part in self.shape:
+            if kind in ("identity", "update"):
+                pins[var] = pins.get(var, ()) + (part.right,)
         return pins
+
+
+def classify(expr: Expr) -> tuple[Conjunct, ...]:
+    """The top-level conjuncts of ``expr`` but literal ``true``, in order,
+    each with its shape.  Identities, updates and havocs are the conjuncts
+    TLC reads as assignments to ``v'``."""
+    out = []
+    for part in conjuncts(expr):
+        if (isinstance(part, Binary) and part.op == "=="
+                and isinstance(part.left, VarRef) and part.left.primed):
+            name, rhs = part.left.name, part.right
+            if isinstance(rhs, AnyVal):
+                kind = "havoc"
+            elif isinstance(rhs, VarRef):
+                kind = "residual" if rhs.primed else "identity" if rhs.name == name else "update"
+            elif isinstance(rhs, (IntLit, BoolLit)) or not free_vars(rhs)[1]:
+                kind = "update"
+            else:
+                kind = "residual"
+            out.append((kind, None if kind == "residual" else name, part))
+        elif part != TRUE:
+            out.append(("residual" if free_vars(part)[1] else "guard", None, part))
+    return tuple(out)
 
 
 def id_action(vars: frozenset[str] | set[str]) -> Action:
@@ -212,13 +246,14 @@ def enumerate_valuations(
     order: lexicographic in the order of ``written``, then by domain value.
 
     Each written variable ranges only over the domain values equal to
-    every one of its pins (``Action.pins``) evaluated on ``pre``, so an
-    out-of-range update leaves no candidate.  A pin whose right-hand side
-    fails to evaluate is ignored, and the error surfaces from the full
-    expression as it would without pins.  Every remaining candidate is
-    checked against the whole expression.  Candidates a pin rules out are
-    never evaluated, so an evaluation error that only they would raise is
-    not raised."""
+    every one of its pins (``Action.pins``, its identities and updates)
+    evaluated on ``pre``, so an out-of-range update leaves no candidate.
+    A pin whose right-hand side fails to evaluate is ignored, and the
+    error surfaces from the full expression as it would without pins.
+    Every remaining candidate is checked against the whole expression.
+    Candidates a pin rules out are never evaluated, so an evaluation error
+    that only they would raise is not raised.  Posts and initial states
+    (``initial_valuations``) both come from here."""
     spaces = []
     for name in written:
         domain = domains.get(name)
@@ -247,17 +282,27 @@ def enumerate_valuations(
     return out
 
 
+def initial_valuations(constraint: Expr, names: list[str],
+                       domains: Mapping[str, Domain]) -> list[dict[str, Value]]:
+    """The valuations of ``names`` that satisfy ``constraint``, in the
+    order of ``enumerate_valuations``: the posts of the constraint with
+    ``names`` primed, from an empty pre-state, so that ``x == 0`` pins
+    ``x`` as ``x' == 0`` pins a post.  Other names stay unprimed, and
+    reading one fails as it would without priming."""
+    written = set(names)
+    primed = map_vars(constraint, lambda ref: VarRef(ref.name, ref.name in written))
+    return enumerate_valuations(Action(primed), names, {}, domains)
+
+
 def enumerate_posts(
     action: Action,
     pre: State,
     domains: Mapping[str, Domain],
 ) -> list[State]:
     """All post states reachable from ``pre``: candidates agree with ``pre``
-    outside ``action.writes`` and satisfy the action.  Deterministic order,
-    lexicographic by variable name then value.  Candidates are narrowed by
-    the action's pins first (see ``enumerate_valuations``), so an
-    evaluation error that only a candidate the pins rule out would raise
-    is not raised."""
+    outside ``action.writes`` and satisfy the action, found by
+    ``enumerate_valuations``.  Deterministic order, lexicographic by
+    variable name then value."""
     local_names = {name for name, _ in pre.locals}
     return [
         State.make(

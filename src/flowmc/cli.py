@@ -1,5 +1,8 @@
 """Command-line front end: validate -> abstract -> (check | emit | crosscheck).
 
+``validate`` also translates, so it reports the translation errors of
+``abstract`` and every later command.
+
 Exit codes: 0 ok/holds/equivalent; 1 violation, divergence, validation
 diagnostics, or an error in the program (translation, STS build,
 emission, evaluation); 2 usage or I/O error (a bad flag or invariant, an
@@ -94,7 +97,8 @@ def _invariant(text: str):
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    _load(args.input)
+    program, _ = _load(args.input)
+    translate(program)
     print(f"{args.input}: ok")
     return OK
 
@@ -213,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in flags:
             p.add_argument(flag, type=positive_int, default=bounds[flag])
 
-    p = sub.add_parser("validate", help="parse and validate a .apg file")
+    p = sub.add_parser("validate", help="parse, validate and translate a .apg file")
     p.add_argument("input")
     p.set_defaults(func=cmd_validate)
 

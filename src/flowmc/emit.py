@@ -14,6 +14,11 @@ the grammar checks ``check_tla_text`` and ``check_nuxmv_text`` read the
 text in one pass and look at each distinct line or conjunct once, and
 the structure scanners index every definition in one pass.
 
+A TLA+ action renders its body conjuncts by shape (``Action.shape``):
+guards, identities and updates, then havocs, then residuals, so that TLC
+assigns each primed variable before a conjunct reads it.  nuXmv renders
+them as they stand.
+
 Integer division and modulus print as the backend's native operators,
 whose rounding conventions differ from the evaluator's C-style
 truncation; models meant for cross-checking should avoid them.
@@ -38,7 +43,6 @@ from .expr import (
     Unary,
     VarRef,
     conjuncts,
-    free_vars,
 )
 from .flowgraph import FlowGraph
 from .sts import STACK_PADDING, Sts, StsAction
@@ -277,16 +281,9 @@ def emit_tla(sts: Sts, opts: EmitterOptions = EmitterOptions()) -> tuple[str, st
     return module, config
 
 
-def _tla_rank(part: Expr) -> int:
-    """TLC evaluates an action's conjuncts left to right, and ``x' = e`` or
-    ``x' \\in S`` gives ``x'`` its value, so a body conjunct comes after the
-    ones that assign what it reads: first guards, identities and updates
-    that read no primed variable, then havocs, then the rest."""
-    if isinstance(part, Binary) and isinstance(part.right, AnyVal):
-        return 1
-    if isinstance(part, Binary) and part.op == "==" and isinstance(part.left, VarRef):
-        part = part.right
-    return 0 if not free_vars(part)[1] else 2
+# TLC evaluates conjuncts left to right, and ``x' = e`` or ``x' \in S``
+# assigns ``x'``: a conjunct comes after those that assign what it reads
+_TLA_ORDER = {"guard": 0, "identity": 0, "update": 0, "havoc": 1, "residual": 2}
 
 
 def _tla_action(sts: Sts, action: StsAction) -> list[str]:
@@ -307,8 +304,8 @@ def _tla_action(sts: Sts, action: StsAction) -> list[str]:
         for index, local in enumerate(sts.locals_order, start=1):
             parts.append(f"{local}' = Head(stack_locals)[{index}]")
         parts.append("stack_locals' = Tail(stack_locals)")
-    body = [part for part in conjuncts(action.body.expr) if part != TRUE]
-    parts += [render_tla(part) for part in sorted(body, key=_tla_rank)]
+    body = sorted(action.body.shape, key=lambda shaped: _TLA_ORDER[shaped[0]])
+    parts += [render_tla(part) for _, _, part in body]
     unchanged = ["stack_nodes", "stack_locals"] if action.kind == "silent" else []
     unchanged += sts.unchanged(action)
     if unchanged:

@@ -21,8 +21,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Generic, Hashable, Iterable, Mapping, Optional, TypeVar
 
-from .actions import Action, InfiniteDomainError, State, enumerate_posts
-from .expr import Domain, Expr, ExprTypeError, Value, eval_expr, free_vars, infer_type
+from .actions import Action, InfiniteDomainError, State, enumerate_posts, initial_valuations
+from .expr import Domain, Expr, ExprError, ExprTypeError, Value, eval_expr, free_vars, infer_type
 from .flowgraph import FlowEdge, FlowGraph
 
 
@@ -128,24 +128,6 @@ class Verdict:
     trace: Optional[Trace] = None
 
 
-def _enumerate_assignments(decls, constraint: Expr) -> list[Env]:
-    """All valuations of the declared variables satisfying the constraint."""
-    names = [d.name for d in decls]
-    spaces = []
-    for decl in decls:
-        if not decl.domain.is_finite:
-            raise InfiniteDomainError(
-                f"variable '{decl.name}' has an unbounded domain"
-            )
-        spaces.append(list(decl.domain.values()))
-    out: list[Env] = []
-    for combo in itertools.product(*spaces):
-        env = dict(zip(names, combo))
-        if bool(eval_expr(constraint, env)):
-            out.append(freeze_env(env))
-    return out
-
-
 @dataclass
 class InducedPds:
     """The induced pushdown system; rewrite rules are computed on demand."""
@@ -176,18 +158,19 @@ def induce(fg: FlowGraph) -> InducedPds:
     """Build the induced PDS: one initial configuration per satisfying
     initial global assignment, each with a single frame at main's entry."""
     global_domains = fg.global_domains()
+    for decl in fg.globals:
+        if not decl.domain.is_finite:
+            raise InfiniteDomainError(f"variable '{decl.name}' has an unbounded domain")
     try:
-        assignments = _enumerate_assignments(fg.globals, fg.init_globals)
-    except Exception as err:
-        if isinstance(err, InfiniteDomainError):
-            raise
+        assignments = initial_valuations(fg.init_globals, list(global_domains), global_domains)
+    except ExprError as err:
         raise PdsError(f"bad init constraint: {err}") from err
     if not assignments:
         raise UnsatisfiableInitError("no global assignment satisfies the init constraint")
 
     main = fg.procedures[fg.main]
     init_frame = StackFrame(main.entry, freeze_env(main.init_locals))
-    initial = [Configuration(g, (init_frame,)) for g in assignments]
+    initial = [Configuration(freeze_env(g), (init_frame,)) for g in assignments]
 
     proc_of_node = fg.proc_of_node()
     domains = {

@@ -15,23 +15,20 @@ over the system states that steps the pushdown system alongside through
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
-from .actions import Action, enumerate_valuations, literal
+from .actions import Action, classify, enumerate_valuations, initial_valuations, literal
 from .expr import (
     AnyVal,
     Binary,
     Domain,
     Expr,
-    TRUE,
     Unary,
     Value,
     VarRef,
     conj,
-    conjuncts,
-    eval_expr,
+    eval_expr,  # unused here; bound so that the benchmark tracer can wrap it
     free_vars,
     map_vars,
 )
@@ -133,28 +130,6 @@ def _mangle_expr(expr: Expr, local_names: set[str], proc: str) -> Expr:
     return map_vars(expr, rewrite)
 
 
-def _is_identity_conjunct(part: Expr) -> bool:
-    return (
-        isinstance(part, Binary)
-        and part.op == "=="
-        and isinstance(part.left, VarRef)
-        and part.left.primed
-        and isinstance(part.right, VarRef)
-        and not part.right.primed
-        and part.left.name == part.right.name
-    )
-
-
-def _is_havoc_conjunct(part: Expr) -> bool:
-    return (
-        isinstance(part, Binary)
-        and part.op == "=="
-        and isinstance(part.left, VarRef)
-        and part.left.primed
-        and isinstance(part.right, AnyVal)
-    )
-
-
 def sts_of_flow_graph(fg: FlowGraph, stack_capacity: int = 10) -> Sts:
     """One action per flow-graph edge kind; Init pins the entry node, the
     initial locals of every procedure, an empty stack, and the initial
@@ -201,10 +176,8 @@ def sts_of_flow_graph(fg: FlowGraph, stack_capacity: int = 10) -> Sts:
                 actions.append(StsAction(name, "silent", edge.src, edge.dst, Action(body_expr)))
             else:
                 callee = fg.procedures[edge.label]
-                for part in conjuncts(body_expr):
-                    _, primed, _ = free_vars(part)
-                    touched = primed & mangled_locals
-                    if touched and not _is_identity_conjunct(part):
+                for kind, _, part in classify(body_expr):
+                    if kind != "identity" and free_vars(part)[1] & mangled_locals:
                         raise StsError(
                             f"call source '{edge.src}' must not constrain its locals"
                         )
@@ -225,10 +198,9 @@ def sts_of_flow_graph(fg: FlowGraph, stack_capacity: int = 10) -> Sts:
         if proc.name != fg.main:
             ret = proc.return_node
             kept: list[Expr] = []
-            for part in conjuncts(lift(ret)):
-                _, primed, _ = free_vars(part)
-                touched = primed & mangled_locals
-                if not touched:
+            for kind, _, part in classify(lift(ret)):
+                primed = free_vars(part)[1]
+                if not primed & mangled_locals:
                     kept.append(part)
                     continue
                 if primed - mangled_locals:
@@ -237,7 +209,7 @@ def sts_of_flow_graph(fg: FlowGraph, stack_capacity: int = 10) -> Sts:
                     )
                 # the popped frame overrides the callee's post-locals; only
                 # always-satisfiable constraints on them may be dropped
-                if not (_is_identity_conjunct(part) or _is_havoc_conjunct(part)):
+                if kind not in ("identity", "havoc"):
                     raise StsError(
                         f"return label of '{proc.name}' constrains its locals"
                     )
@@ -294,21 +266,13 @@ class StsReport:
 
 
 def sts_initial_states(sts: Sts) -> list[StsState]:
-    spaces = []
-    names = []
     for decl in sts.globals_decls:
         if not decl.domain.is_finite:
             raise StsError(f"global '{decl.name}' has an unbounded domain")
-        names.append(decl.name)
-        spaces.append(list(decl.domain.values()))
-    out: list[StsState] = []
+    names = [decl.name for decl in sts.globals_decls]
     locals_env = dict(sts.init.locals_values)
-    for combo in itertools.product(*spaces):
-        env = dict(zip(names, combo))
-        if bool(eval_expr(sts.init.globals_expr, env)):
-            scalars = freeze_env({**env, **locals_env})
-            out.append(StsState(sts.init.node, (), scalars))
-    return out
+    return [StsState(sts.init.node, (), freeze_env({**env, **locals_env}))
+            for env in initial_valuations(sts.init.globals_expr, names, sts.domains)]
 
 
 def sts_successors(sts: Sts, state: StsState) -> list[StsState]:
@@ -481,11 +445,11 @@ def mutate_sts(sts: Sts, kind: str) -> Sts:
     wrong-init negates the initial global constraint."""
     if kind == "negate-guard":
         for i, action in enumerate(sts.actions):
-            for j, part in enumerate(conjuncts(action.body.expr)):
-                _, primed, _ = free_vars(part)
-                if primed or part == TRUE:
+            shape = action.body.shape
+            for j, (tag, _, part) in enumerate(shape):
+                if tag != "guard":
                     continue
-                parts = conjuncts(action.body.expr)
+                parts = [p for _, _, p in shape]
                 parts[j] = Unary("!", part)
                 body = Action(conj(parts))
                 return _replace_action(sts, i, replace(action, body=body))

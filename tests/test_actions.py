@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from flowmc.actions import (
     Action,
+    classify,
     EmptyContractError,
     InfiniteDomainError,
     PrimedInGuardError,
@@ -24,7 +25,7 @@ from flowmc.actions import (
     eval_action,
     id_action,
 )
-from flowmc.expr import Domain, parse_expr
+from flowmc.expr import AnyVal, Binary, Domain, VarRef, conj, conjuncts, free_vars, parse_expr
 from flowmc.ir import Assign, Contract, Jump, Skip
 
 BOOL = Domain("bool")
@@ -172,6 +173,49 @@ def test_enumerate_posts_infinite_domain():
 
 
 # ---------------------------------------------------------------------------
+# conjunct shapes
+
+
+@pytest.mark.parametrize("expr, shape", [
+    (parse_expr("(x < 3 && true) && (true && x' == x)", allow_primed=True),
+     [("guard", None, "x < 3"), ("identity", "x", "x' == x")]),
+    (parse_expr("true"), []),
+    (parse_expr("x < 3"), [("guard", None, "x < 3")]),
+    (parse_expr("x' == x", allow_primed=True), [("identity", "x", "x' == x")]),
+    (parse_expr("x' == x + 1", allow_primed=True), [("update", "x", "x' == x + 1")]),
+    (parse_expr("x' == y", allow_primed=True), [("update", "x", "x' == y")]),
+    (Binary("==", VarRef("x", True), AnyVal(D4)), [("havoc", "x", None)]),
+    (parse_expr("x' == y'", allow_primed=True), [("residual", None, "x' == y'")]),
+    (parse_expr("x == y'", allow_primed=True), [("residual", None, "x == y'")]),
+    (parse_expr("!(x' == 1)", allow_primed=True), [("residual", None, "!(x' == 1)")]),
+])
+def test_conjunct_shapes(expr, shape):
+    got = classify(expr)
+    assert [(kind, var) for kind, var, _ in got] == [(kind, var) for kind, var, _ in shape]
+    for (_, _, part), (_, _, text) in zip(got, shape):
+        if text is not None:
+            assert part == parse_expr(text, allow_primed=True)
+    assert Action(expr).shape == got
+
+
+def reference_pins(expr):
+    """Pins as first defined: the conjuncts ``v' == rhs`` whose ``rhs`` is
+    not ``any(...)`` and reads no primed variable."""
+    pins = {}
+    for part in conjuncts(expr):
+        if (
+            isinstance(part, Binary)
+            and part.op == "=="
+            and isinstance(part.left, VarRef)
+            and part.left.primed
+            and not isinstance(part.right, AnyVal)
+            and not free_vars(part.right)[1]
+        ):
+            pins[part.left.name] = pins.get(part.left.name, ()) + (part.right,)
+    return pins
+
+
+# ---------------------------------------------------------------------------
 # property suites
 
 
@@ -258,3 +302,18 @@ def test_contract_frame_condition(assigns, x, y):
         for name in ("x", "y"):
             if name not in assigns:
                 assert post.globals_dict()[name] == pre.globals_dict()[name]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_relations(), _relations(), st.booleans())
+def test_shape_reconjoins_and_pins_match_reference(text_a, text_b, padded):
+    text = f"true && ({text_a}) && true && {text_b}" if padded else f"{text_a} && {text_b}"
+    expr = parse_expr(text, allow_primed=True)
+    shape = classify(expr)
+    assert conj([part for _, _, part in shape]) == conj(conjuncts(expr))
+    assert Action(expr).pins == reference_pins(expr)
+    for kind, var, part in shape:
+        primed = free_vars(part)[1]
+        assert (kind == "guard") == (not primed)
+        if var is not None:
+            assert var in primed

@@ -81,6 +81,27 @@ def test_abstract_cyclic_jump_fixture():
     assert "CyclicUnannotatedJumps" in err
 
 
+def test_validate_reports_translation_errors():
+    # validate translates too, so it fails where abstract does, with the same message
+    code, out, err = run_cli("validate", fx("cyclic"))
+    assert (code, out) == (1, "")
+    assert (code, out, err) == run_cli("abstract", fx("cyclic"))
+    assert "CyclicUnannotatedJumps" in err
+
+
+def test_validate_reports_a_guarded_return_conflict(tmp_path):
+    # recur with its join point j removed: r is entered under n <= 0 and unguarded
+    text = Path(fx("recur")).read_text().replace("edge c -> j", "edge c -> r").replace(
+        "edge a -> j when n <= 0", "edge a -> r when n <= 0"
+    )
+    lines = [line for line in text.splitlines()
+             if not line.strip().startswith(("point j", "edge j"))]
+    path = write_program(tmp_path, "conflict", "\n".join(lines))
+    code, out, err = run_cli("validate", path)
+    assert (code, out) == (1, "")
+    assert "GuardedReturnConflict" in err
+
+
 def test_check_trivial_invariant_holds():
     code, out, _ = run_cli("check", fx("stee"), "--invariant", "true")
     assert code == 0

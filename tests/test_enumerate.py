@@ -21,7 +21,7 @@ from flowmc.flowgraph import translate
 from flowmc.ir import Assign
 from flowmc.ir_text import parse_program
 from flowmc.pds import UnsatisfiableInitError, explore, format_trace, induce, sample_run
-from flowmc.sts import execute_sts, mutate_sts, sts_of_flow_graph
+from flowmc.sts import execute_sts, mutate_sts, sts_initial_states, sts_of_flow_graph
 
 D4 = Domain("range", 0, 3)
 
@@ -116,6 +116,10 @@ def test_pins_are_the_pre_state_equalities():
         "x": (parse_expr("x + 1"), parse_expr("2")),
         "y": (VarRef("y"),),
     }
+    assert [(kind, var) for kind, var, _ in action.shape] == [
+        ("update", "x"), ("identity", "y"), ("residual", None), ("update", "x"),
+        ("residual", None),
+    ]
 
 
 def test_out_of_range_update_has_no_post():
@@ -167,6 +171,47 @@ def test_conflicting_pins_on_self_recursive_call():
         pre = {"g": False, "down__b": local}
         assert enumerate_valuations(call.body, written, pre, sts.domains) == posts
         assert full_product_valuations(call.body, written, pre, sts.domains) == posts
+
+
+PINNED_INIT = """\
+program pinned
+
+global x : int 0..300
+global y : int 0..300
+init x == 0 && y == 0
+
+procedure main
+  block b1
+    point r : return
+    entry r
+    exit r
+"""
+
+
+def test_init_constraint_pins_the_initial_states(monkeypatch):
+    import flowmc.actions
+    import flowmc.pds
+    import flowmc.sts
+
+    result = parse_program(PINNED_INIT)
+    assert result.program is not None, result.diagnostics
+    fg = translate(result.program)
+    sts = sts_of_flow_graph(fg)
+    evaluations = []
+    for module in (flowmc.actions, flowmc.pds, flowmc.sts):
+        def counting(*args, original=module.eval_expr, **kwargs):
+            evaluations.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "eval_expr", counting)
+    # the full product holds 301 * 301 = 90,601 candidates; the pins leave one
+    pds = induce(fg)
+    assert [config.globals for config in pds.initial] == [(("x", 0), ("y", 0))]
+    assert len(evaluations) <= 10
+    evaluations.clear()
+    states = sts_initial_states(sts)
+    assert [state.scalars for state in states] == [(("x", 0), ("y", 0))]
+    assert len(evaluations) <= 10
 
 
 def test_raising_pin_still_raises():
