@@ -7,12 +7,15 @@ target, stack effect) triples so tests can confirm that.  Emitted files
 carry a header comment with the toolkit version and a digest of the
 source IR; ``normalize_emitted`` strips it for golden comparisons.
 
-Wide models repeat the same stack clauses in every call and return
+Wide models have the same stack clauses in every call and return
 action, so the cost of each step follows the distinct text, not its
-repetitions: ``emit_nuxmv`` renders the shared clauses once per model,
-the grammar checks ``check_tla_text`` and ``check_nuxmv_text`` read the
-text in one pass and look at each distinct line or conjunct once, and
-the structure scanners index every definition in one pass.
+repetitions: ``emit_nuxmv`` renders the shared clauses once per model
+and, when two or more actions use one, writes it once as the DEFINE
+``stack_save`` (the locals every call saves) or ``stack_restore`` (what
+every return restores), which the actions name; the grammar checks
+``check_tla_text`` and ``check_nuxmv_text`` read the text in one pass
+and look at each distinct line or conjunct once, and the structure
+scanners index every definition in one pass.
 
 A TLA+ action renders its body conjuncts by shape (``Action.shape``):
 guards, identities and updates, then havocs, then residuals, so that TLC
@@ -94,7 +97,7 @@ _TLA_RESERVED = _TLA_WORDS | {
 # The identifiers the nuXmv emitter defines, and the keywords, temporal
 # operators and built-in functions of the nuXmv manual
 _SMV_RESERVED = frozenset(f"""
-    node depth stack_unchanged STACK_CAPACITY {STACK_PADDING} main
+    node depth stack_unchanged stack_save stack_restore STACK_CAPACITY {STACK_PADDING} main
     MODULE DEFINE MDEFINE CONSTANTS VAR IVAR FROZENVAR INIT TRANS INVAR SPEC CTLSPEC
     LTLSPEC PSLSPEC COMPUTE NAME INVARSPEC FAIRNESS JUSTICE COMPASSION ISA ASSIGN
     CONSTRAINT SIMPWFF CTLWFF LTLWFF PSLWFF COMPWFF IN MIN MAX MIRROR PRED PREDICATES
@@ -403,9 +406,17 @@ def emit_nuxmv(sts: Sts, opts: EmitterOptions = EmitterOptions()) -> str:
     stack_same = " & ".join([f"next(depth) = depth"] + [f"next({c}) = {c}" for c in cells])
     lines.append(f"  stack_unchanged := {stack_same};")
 
-    call_cells, pop = _smv_stack_clauses(sts)
+    save, restore = _smv_stack_clauses(sts)
+    # a clause that two or more actions use is written once, as a DEFINE
+    kinds = Counter(action.kind for action in sts.actions)
+    if save and kinds["call"] > 1:
+        lines.append(f"  stack_save := {save};")
+        save = "stack_save"
+    if kinds["return"] > 1:
+        lines.append(f"  stack_restore := {restore};")
+        restore = "stack_restore"
     for action in sts.actions:
-        lines.append(f"  {action.name} := {_smv_action(sts, action, call_cells, pop)};")
+        lines.append(f"  {action.name} := {_smv_action(sts, action, save, restore)};")
 
     init_parts = [f"node = {sts.init.node}", "depth = 0"]
     for i in range(cap):
@@ -427,39 +438,42 @@ def emit_nuxmv(sts: Sts, opts: EmitterOptions = EmitterOptions()) -> str:
 
 def _smv_stack_clauses(sts: Sts) -> tuple[str, str]:
     """The stack conjuncts that do not depend on the action, each joined
-    once per model: (the local cells every call saves, the whole stack
-    part of every return).  Wide models repeat them in thousands of
-    actions, so rendering them per action dominated the emitter."""
+    once per model: (the local cells every call saves, the stack cells
+    and locals every return restores).  Wide models repeat them in
+    hundreds of actions, so ``emit_nuxmv`` writes each one that two or
+    more actions use once, as the DEFINE ``stack_save`` or
+    ``stack_restore``, and the actions name it."""
     cap = sts.stack_capacity
     init_local = dict(sts.init.locals_values)
-    call_cells = " & ".join(
+    save = " & ".join(
         f"next(st_{local}_{i}) = (case depth = {i} : {local}; TRUE : st_{local}_{i}; esac)"
         for local in sts.locals_order
         for i in range(cap)
     )
-    pop = ["depth > 0", "next(depth) = depth - 1"]
     branches = "".join(f"depth = {i + 1} : st_node_{i}; " for i in range(cap))
-    pop.append(f"next(node) = (case {branches}TRUE : node; esac)")
+    restore = [f"next(node) = (case {branches}TRUE : node; esac)"]
     for local in sts.locals_order:
         branches = "".join(f"depth = {i + 1} : st_{local}_{i}; " for i in range(cap))
-        pop.append(f"next({local}) = (case {branches}TRUE : {local}; esac)")
+        restore.append(f"next({local}) = (case {branches}TRUE : {local}; esac)")
     for i in range(cap):
-        pop.append(
+        restore.append(
             f"next(st_node_{i}) = (case depth = {i + 1} : {STACK_PADDING}; "
             f"TRUE : st_node_{i}; esac)"
         )
     for local in sts.locals_order:
         initial = render_smv(literal(init_local[local]))
         for i in range(cap):
-            pop.append(
+            restore.append(
                 f"next(st_{local}_{i}) = (case depth = {i + 1} : {initial}; "
                 f"TRUE : st_{local}_{i}; esac)"
             )
-    return call_cells, " & ".join(pop)
+    return save, " & ".join(restore)
 
 
-def _smv_action(sts: Sts, action: StsAction, call_cells: str, pop: str) -> str:
-    """``call_cells`` and ``pop`` come from :func:`_smv_stack_clauses`."""
+def _smv_action(sts: Sts, action: StsAction, save: str, restore: str) -> str:
+    """``save`` and ``restore`` are the clauses of :func:`_smv_stack_clauses`
+    or the names of their DEFINEs."""
+    # the depth and st_node conjuncts stay inline: scan_nuxmv_structure reads them
     parts: list[str] = []
     if action.source is not None:
         parts.append(f"node = {action.source}")
@@ -475,10 +489,10 @@ def _smv_action(sts: Sts, action: StsAction, call_cells: str, pop: str) -> str:
                 f"next(st_node_{i}) = (case depth = {i} : {action.push_node}; "
                 f"TRUE : st_node_{i}; esac)"
             )
-        if call_cells:
-            parts.append(call_cells)
+        if save:
+            parts.append(save)
     else:
-        parts.append(pop)
+        parts += ["depth > 0", "next(depth) = depth - 1", restore]
     for part in conjuncts(action.body.expr):
         if part == TRUE:
             continue

@@ -122,7 +122,7 @@ def test_criterion_4_translation_crosscheck():
 def test_criterion_5_emitter_determinism_and_goldens():
     done = _timed(5.0)
     finite = ["stee", "minimal", "callret", "guarded", "mode", "mode_safe",
-              "boolcall", "smallguard", "two_bools"]
+              "boolcall", "smallguard", "two_bools", "twocalls"]
     for name in finite:
         fg = load_flow_graph(name)
         sts = sts_of_flow_graph(fg)

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from conftest import GOLDEN, load_flow_graph, load_text
+from genprog import wide_program
 
 from flowmc.emit import (
     CapacityTooSmallError,
@@ -21,10 +22,11 @@ from flowmc.emit import (
     scan_tla_structure,
     static_call_depth,
 )
+from flowmc.flowgraph import translate
 from flowmc.sts import MUTATIONS, mutate_sts, sts_of_flow_graph
 
 FINITE = ["stee", "minimal", "callret", "guarded", "mode", "mode_safe",
-          "boolcall", "smallguard", "two_bools"]
+          "boolcall", "smallguard", "two_bools", "twocalls"]
 
 
 def _golden(name: str, suffix: str) -> str:
@@ -166,7 +168,8 @@ def test_smoke_check_catches_undeclared(stee):
     # both backends keep the prefixes of the names they generate
     *[pytest.param("clash", var, {"tla", "nuxmv"}, id=var) for var in ("WF_x", "SF_x", "st_x")],
     *[pytest.param("clash", var, {"nuxmv"}, id=var)
-      for var in ("X", "AG", "EBF", "xor", "abs", "word1", "INVARSPEC")],
+      for var in ("X", "AG", "EBF", "xor", "abs", "word1", "INVARSPEC",
+                  "stack_save", "stack_restore")],
     pytest.param("IF", "x", {"tla"}, id="program-IF"),
     pytest.param("Nat", "x", {"tla"}, id="program-Nat"),
     pytest.param("Integers", "x", {"tla"}, id="program-Integers"),
@@ -212,3 +215,59 @@ procedure main
     emit_tla(sts)  # fine in TLA+
     with pytest.raises(EmitError):
         emit_nuxmv(sts)
+
+
+# ---------------------------------------------------------------------------
+# Shared stack clauses
+
+
+_SHARED = ("stack_save", "stack_restore")
+
+
+def _inline_shared(text: str) -> str:
+    """``text`` with each conjunct that names a shared stack DEFINE
+    replaced by that DEFINE's right-hand side, and the DEFINE dropped."""
+    bodies: dict[str, str] = {}
+    kept: list[str] = []
+    for line in text.splitlines():
+        name, _, body = line[2:].partition(" := ")
+        if name in _SHARED:
+            bodies[name] = body[:-1]
+        else:
+            kept.append(line)
+    out = []
+    for line in kept:
+        head, sep, body = line.partition(" := ")
+        if sep:
+            parts = body[:-1].split(" & ")
+            line = f"{head} := {' & '.join(bodies.get(part, part) for part in parts)};"
+        out.append(line)
+    return "\n".join(out) + "\n"
+
+
+def test_shared_stack_clauses_inline_to_the_unshared_model():
+    sts = sts_of_flow_graph(load_flow_graph("twocalls"))
+    model = emit_nuxmv(sts)
+    assert "\n  stack_save := " in model and "\n  stack_restore := " in model
+    # the model as it was emitted before the clauses were shared
+    unshared = (GOLDEN / "twocalls_inlined.smv").read_text(encoding="utf-8")
+    assert normalize_emitted(_inline_shared(model)) == normalize_emitted(unshared)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_wide_models_inline_to_checked_text(seed):
+    model = emit_nuxmv(sts_of_flow_graph(translate(wide_program(seed, 6))))
+    inlined = _inline_shared(model)
+    assert inlined != model
+    check_nuxmv_text(inlined)
+    assert scan_nuxmv_structure(inlined) == scan_nuxmv_structure(model)
+
+
+def test_wide_model_writes_each_stack_clause_once():
+    sts = sts_of_flow_graph(translate(wide_program(1, 12)))
+    model = emit_nuxmv(sts)
+    assert sum(action.kind == "call" for action in sts.actions) > 1
+    assert sum(action.kind == "return" for action in sts.actions) > 1
+    for local in sts.locals_order:
+        assert model.count(f"next(st_{local}_0) = (case depth = 0 : {local};") == 1
+        assert model.count(f"depth = 1 : st_{local}_0;") == 1

@@ -35,7 +35,7 @@ from flowmc.flowgraph import translate
 from flowmc.sts import sts_of_flow_graph
 
 FINITE = ["stee", "minimal", "callret", "guarded", "mode", "mode_safe",
-          "boolcall", "smallguard", "two_bools"]
+          "boolcall", "smallguard", "two_bools", "twocalls"]
 
 
 # ---------------------------------------------------------------------------
