@@ -3,71 +3,8 @@
 Pipeline: parse a ``.apg`` annotated program, abstract it into a flow
 graph by substituting verified contracts for code, explore the induced
 pushdown system explicitly, and emit equivalent TLA+ and nuXmv models.
+Import the layers from their modules (``flowmc.pds``, ``flowmc.sts``,
+...); the package itself defines only ``__version__``.
 """
 
 __version__ = "0.1.0"
-
-from .actions import (
-    Action,
-    State,
-    action_of_contract,
-    action_of_guard,
-    action_of_statement,
-    enumerate_posts,
-    eval_action,
-    id_action,
-)
-from .expr import Domain, parse_expr, to_str
-from .flowgraph import (
-    FlowEdge,
-    FlowGraph,
-    ProcedureFlowGraph,
-    TranslateError,
-    check_totality,
-    reachable_nodes,
-    translate,
-)
-from .ir import (
-    AnnotatedBlock,
-    AnnotatedProcedure,
-    AnnotatedProgram,
-    Contract,
-    Diagnostic,
-    VarDecl,
-    validate_program,
-)
-from .ir_text import ParseResult, parse_program, serialize_program
-from .pds import (
-    Configuration,
-    ExploreReport,
-    InducedPds,
-    StackFrame,
-    Trace,
-    Verdict,
-    check_invariant,
-    explore,
-    format_trace,
-    induce,
-    sample_run,
-    successors,
-)
-from .sts import (
-    EquivalenceVerdict,
-    Sts,
-    StsAction,
-    compare_with_pds,
-    execute_sts,
-    mutate_sts,
-    sts_of_flow_graph,
-)
-from .emit import (
-    EmitterOptions,
-    emit_dot,
-    emit_nuxmv,
-    emit_tla,
-    normalize_emitted,
-    scan_nuxmv_structure,
-    scan_tla_structure,
-)
-
-__all__ = [name for name in dir() if not name.startswith("_")]

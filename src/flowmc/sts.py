@@ -10,13 +10,17 @@ always hold canonical values, which makes reachable system states
 correspond one-to-one with reachable pushdown configurations; the
 interpreter here is the oracle that checks exactly that, in one search
 over the system states that steps the pushdown system alongside through
-``project_state``.
+``project_state``.  Each ``Sts`` owns the caches of that search: the
+actions at each node, each action's posts per values it reads, and the
+projected frames and stack suffixes.  A system made with
+``dataclasses.replace``, as every mutation is, starts without them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional
+from typing import Optional
 
 from .actions import Action, classify, enumerate_valuations, initial_valuations, literal
 from .expr import (
@@ -98,6 +102,11 @@ class Sts:
     actions: tuple[StsAction, ...]
     stack_capacity: int
 
+    @functools.cached_property
+    def _caches(self) -> _Caches:
+        """This system's search caches; ``dataclasses.replace`` makes a system without them."""
+        return _Caches(self)
+
     @property
     def scalar_names(self) -> tuple[str, ...]:
         return tuple(d.name for d in self.globals_decls) + self.locals_order
@@ -139,6 +148,7 @@ def sts_of_flow_graph(fg: FlowGraph, stack_capacity: int = 10) -> Sts:
 
     node_values: list[str] = []
     locals_order: list[str] = []
+    init_locals: list[tuple[str, Value]] = []
     proc_locals: dict[str, tuple[tuple[str, str], ...]] = {}
     domains: dict[str, Domain] = {d.name: d.domain for d in fg.globals}
     for proc in fg.procedures.values():
@@ -149,6 +159,7 @@ def sts_of_flow_graph(fg: FlowGraph, stack_capacity: int = 10) -> Sts:
             if mangled in domains:
                 raise StsError(f"mangled name '{mangled}' collides with another variable")
             locals_order.append(mangled)
+            init_locals.append((mangled, proc.init_locals[decl.name]))
             domains[mangled] = decl.domain
             pairs.append((decl.name, mangled))
         proc_locals[proc.name] = tuple(pairs)
@@ -221,11 +232,6 @@ def sts_of_flow_graph(fg: FlowGraph, stack_capacity: int = 10) -> Sts:
         raise StsError("duplicate action names")
 
     main = fg.procedures[fg.main]
-    init_locals: list[tuple[str, Value]] = []
-    for proc in fg.procedures.values():
-        for decl in proc.locals:
-            init_locals.append((mangle(proc.name, decl.name), proc.init_locals[decl.name]))
-
     proc_of_node = fg.proc_of_node()
     return Sts(
         module_name=fg.name,
@@ -246,13 +252,22 @@ def sts_of_flow_graph(fg: FlowGraph, stack_capacity: int = 10) -> Sts:
 
 
 Slot = tuple[str, tuple[Value, ...]]  # (return node, snapshot of all locals)
+Scalars = tuple[tuple[str, Value], ...]  # every scalar, sorted by name
+Change = tuple[tuple[int, tuple[str, Value]], ...]  # (position, (name, value)) per write
 
 
 @dataclass(frozen=True)
 class StsState:
     node: str
     stack: tuple[Slot, ...]
-    scalars: tuple[tuple[str, Value], ...]
+    scalars: Scalars
+
+    def __post_init__(self) -> None:
+        # the search keeps states in several sets and dicts
+        object.__setattr__(self, "_hash", hash((self.node, self.stack, self.scalars)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def env(self) -> dict[str, Value]:
         return dict(self.scalars)
@@ -275,36 +290,81 @@ def sts_initial_states(sts: Sts) -> list[StsState]:
             for env in initial_valuations(sts.init.globals_expr, names, sts.domains)]
 
 
+class _Caches:
+    """What the search over one ``Sts`` computes once (see ``Sts._caches``)."""
+
+    def __init__(self, sts: Sts) -> None:
+        self.position = position = {n: i for i, n in enumerate(sorted(sts.scalar_names))}
+        self.global_positions = tuple(sorted(position[d.name] for d in sts.globals_decls))
+        self.local_positions = tuple(position[name] for name in sts.locals_order)
+        # per action, the positions of the scalars its body reads
+        self.reads = tuple(tuple(sorted(position[n] for n in a.body.reads if n in position))
+                           for a in sts.actions)
+        # node -> the indices of the actions that test it or no node, in
+        # action order; None -> those of the actions that test no node
+        self.actions_at: dict[Optional[str], list[int]] = {a.source: [] for a in sts.actions}
+        self.actions_at[None] = []
+        for i, action in enumerate(sts.actions):
+            for node in (self.actions_at if action.source is None else (action.source,)):
+                self.actions_at[node].append(i)
+        # node -> (local, index in a stack snapshot, position in the
+        # scalars) for each local of its procedure, in name order
+        index = {name: i for i, name in enumerate(sts.locals_order)}
+        layout = {proc: tuple(sorted((local, index[m], position[m]) for local, m in pairs))
+                  for proc, pairs in sts.proc_locals.items()}
+        self.frame_layout = {node: layout[proc] for node, proc in sts.proc_of_node.items()}
+        self.posts: dict[tuple[int, tuple[Value, ...]], tuple[Change, ...]] = {}
+        self.frames: dict[tuple[str, tuple[Value, ...]], StackFrame] = {}
+        self.suffixes: dict[tuple[Slot, ...], tuple[StackFrame, ...]] = {(): ()}
+
+
+def _posts(sts: Sts, index: int, scalars: Scalars) -> tuple[Change, ...]:
+    """The posts of action ``index`` from ``scalars``.  They read only the
+    values of ``body.reads``, so they are kept per action and those
+    values; an evaluation error is raised each time, never kept."""
+    caches = sts._caches
+    reads = caches.reads[index]
+    key = (index, tuple([scalars[p][1] for p in reads]))
+    posts = caches.posts.get(key)
+    if posts is None:
+        body = sts.actions[index].body
+        names = sorted(body.writes)
+        valuations = enumerate_valuations(body, names, dict([scalars[p] for p in reads]),
+                                          sts.domains)
+        posts = caches.posts[key] = tuple(
+            tuple((caches.position[n], (n, env[n])) for n in names) for env in valuations)
+    return posts
+
+
 def sts_successors(sts: Sts, state: StsState) -> list[StsState]:
     """Successor states of ``state``, one per action and post-state, in
     action order.  A call is blocked once the stack holds
-    ``stack_capacity`` saved frames, as in both emitted models."""
+    ``stack_capacity`` saved frames, as in both emitted models.
+
+    Only the actions that test the state's node or no node are read, their
+    posts come from the caches of ``sts``, and a successor's scalars are
+    the state's with the written positions replaced."""
+    caches = sts._caches
     out: dict[StsState, None] = {}  # an insertion-ordered set
-    pre = state.env()
-    for action in sts.actions:
-        if action.source is not None and state.node != action.source:
-            continue
-        if action.kind == "call" and len(state.stack) >= sts.stack_capacity:
-            continue
-        if action.kind == "return" and not state.stack:
-            continue
-        posts = enumerate_valuations(action.body, sorted(action.body.writes), pre, sts.domains)
-        if action.kind == "silent":
-            for env in posts:
-                out[StsState(action.target, state.stack, freeze_env(env))] = None
-        elif action.kind == "call":
-            slot: Slot = (
-                action.push_node,
-                tuple(pre[name] for name in sts.locals_order),
-            )
-            for env in posts:
-                out[StsState(action.target, (slot,) + state.stack, freeze_env(env))] = None
-        else:  # return
-            slot_node, snapshot = state.stack[0]
-            for env in posts:
-                restored = dict(env)
-                restored.update(zip(sts.locals_order, snapshot))
-                out[StsState(slot_node, state.stack[1:], freeze_env(restored))] = None
+    scalars, stack = state.scalars, state.stack
+    for index in caches.actions_at.get(state.node, caches.actions_at[None]):
+        action = sts.actions[index]
+        node, next_stack, restore = action.target, stack, ()
+        if action.kind == "call":
+            if len(stack) >= sts.stack_capacity:
+                continue
+            snapshot = tuple([scalars[p][1] for p in caches.local_positions])
+            next_stack = ((action.push_node, snapshot),) + stack
+        elif action.kind == "return":
+            if not stack:
+                continue
+            (node, snapshot), next_stack = stack[0], stack[1:]
+            restore = tuple(zip(caches.local_positions, zip(sts.locals_order, snapshot)))
+        for post in _posts(sts, index, scalars):
+            values = list(scalars)
+            for position, pair in post + restore:
+                values[position] = pair
+            out[StsState(node, next_stack, tuple(values))] = None
     return list(out)
 
 
@@ -343,20 +403,33 @@ class EquivalenceVerdict:
 
 
 def project_state(sts: Sts, state: StsState) -> Configuration:
-    """Map a system state to the pushdown configuration it encodes."""
-    env = state.env()
-    global_env = {d.name: env[d.name] for d in sts.globals_decls}
+    """Map a system state to the pushdown configuration it encodes.  The
+    caches of ``sts`` build each frame once per (node, locals) and each
+    stack suffix's frames once, which states with that suffix share."""
+    caches = sts._caches
+    scalars = state.scalars
+    layout = caches.frame_layout[state.node]
+    top = _frame(caches, state.node, tuple([scalars[p][1] for _, _, p in layout]))
+    missing, stack = [], state.stack
+    while stack not in caches.suffixes:
+        missing.append(stack)
+        stack = stack[1:]
+    frames = caches.suffixes[stack]
+    for stack in reversed(missing):
+        node, snapshot = stack[0]
+        layout = caches.frame_layout[node]
+        frame = _frame(caches, node, tuple([snapshot[i] for _, i, _ in layout]))
+        frames = caches.suffixes[stack] = (frame,) + frames
+    return Configuration(tuple([scalars[p] for p in caches.global_positions]), (top,) + frames)
 
-    def frame_for(node: str, values: Mapping[str, Value]) -> StackFrame:
-        proc = sts.proc_of_node[node]
-        local_env = {local: values[mangled] for local, mangled in sts.proc_locals[proc]}
-        return StackFrame(node, freeze_env(local_env))
 
-    frames = [frame_for(state.node, env)]
-    for slot_node, snapshot in state.stack:
-        slot_env = dict(zip(sts.locals_order, snapshot))
-        frames.append(frame_for(slot_node, slot_env))
-    return Configuration(freeze_env(global_env), tuple(frames))
+def _frame(caches: _Caches, node: str, values: tuple[Value, ...]) -> StackFrame:
+    """The frame at ``node`` whose locals, in name order, hold ``values``."""
+    frame = caches.frames.get((node, values))
+    if frame is None:
+        names = [local for local, _, _ in caches.frame_layout[node]]
+        frame = caches.frames[node, values] = StackFrame(node, tuple(zip(names, values)))
+    return frame
 
 
 class _Divergence(Exception):
@@ -384,7 +457,9 @@ def compare_with_pds(
     one, so the PDS successors kept are those of at most
     ``stack_capacity + 1`` frames.  The first difference is the verdict,
     its witness the least configuration of that difference; inconclusive
-    when ``max_steps`` left a state unexpanded before any difference."""
+    when ``max_steps`` left a state unexpanded before any difference.
+    Successors and projections come from the caches ``sts`` owns; the
+    projection of each state and its owner are kept for this call only."""
     max_depth = sts.stack_capacity + 1
     projection: dict[StsState, Configuration] = {}
     owner: dict[Configuration, StsState] = {}

@@ -5,16 +5,28 @@ import dataclasses
 
 import pytest
 
-from conftest import TOGGLE_RECURSION, load_flow_graph, load_text
+from conftest import FIXTURES, TOGGLE_RECURSION, load_flow_graph, load_text
 
 from genprog import random_program
 
 import flowmc.sts
-from flowmc.flowgraph import translate
-from flowmc.pds import UnsatisfiableInitError, explore, induce, sample_run
+from flowmc.actions import Action, enumerate_valuations
+from flowmc.expr import Binary, EvalError, IntLit, VarRef
+from flowmc.flowgraph import TranslateError, translate
+from flowmc.pds import (
+    Configuration,
+    StackFrame,
+    UnsatisfiableInitError,
+    explore,
+    freeze_env,
+    induce,
+    sample_run,
+)
 from flowmc.sts import (
     MUTATIONS,
+    MutationError,
     StsError,
+    StsState,
     compare_with_pds,
     execute_sts,
     mutate_sts,
@@ -231,3 +243,125 @@ def test_compare_with_pds_walks_the_sts_once(stee, monkeypatch):
     verdict = compare_with_pds(sts, induce(stee))
     assert verdict.equivalent, (verdict.reason, verdict.witness)
     assert calls == {"bounded_search": 1, "sts_successors": reachable}
+
+
+# ---------------------------------------------------------------------------
+# the search caches of one Sts
+
+
+def plain_successors(sts, state):
+    """``sts_successors`` without caches: every action's node tested, and
+    posts enumerated from the whole pre-state."""
+    out = {}
+    pre = state.env()
+    for action in sts.actions:
+        if action.source is not None and state.node != action.source:
+            continue
+        if action.kind == "call" and len(state.stack) >= sts.stack_capacity:
+            continue
+        if action.kind == "return" and not state.stack:
+            continue
+        for env in enumerate_valuations(action.body, sorted(action.body.writes), pre, sts.domains):
+            node, stack = action.target, state.stack
+            if action.kind == "call":
+                stack = ((action.push_node, tuple(pre[n] for n in sts.locals_order)),) + stack
+            elif action.kind == "return":
+                (node, snapshot), stack = stack[0], stack[1:]
+                env.update(zip(sts.locals_order, snapshot))
+            out[StsState(node, stack, freeze_env(env))] = None
+    return list(out)
+
+
+def plain_projection(sts, state):
+    """``project_state`` without caches: every frame built afresh."""
+
+    def frame(node, values):
+        pairs = sts.proc_locals[sts.proc_of_node[node]]
+        return StackFrame(node, freeze_env({local: values[m] for local, m in pairs}))
+
+    env = state.env()
+    frames = [frame(state.node, env)]
+    frames += [frame(node, dict(zip(sts.locals_order, snapshot))) for node, snapshot in state.stack]
+    return Configuration(freeze_env({d.name: env[d.name] for d in sts.globals_decls}), tuple(frames))
+
+
+@pytest.mark.parametrize("case", [p.stem for p in sorted(FIXTURES.glob("*.apg"))] + list(range(50)))
+def test_warm_sts_steps_like_a_fresh_one(case):
+    try:
+        fg = load_flow_graph(case) if isinstance(case, str) else translate(random_program(case))
+        sts_initial_states(sts_of_flow_graph(fg))
+    except (TranslateError, StsError):
+        return
+
+    def build(kind):
+        sts = sts_of_flow_graph(fg)
+        return sts if kind is None else mutate_sts(sts, kind)
+
+    for kind in (None,) + MUTATIONS:
+        try:
+            warm = build(kind)
+        except MutationError:
+            continue
+        for state in execute_sts(warm).states:
+            succ = sts_successors(warm, state)
+            assert succ == sts_successors(build(kind), state) == plain_successors(warm, state)
+            config = project_state(warm, state)
+            assert config == project_state(build(kind), state) == plain_projection(warm, state)
+
+
+def test_verdicts_stay_cold_when_systems_alternate(stee):
+    # each system owns its caches: neither a reused id nor a mutation
+    # made from a warm system may serve another system's posts
+    recur = load_flow_graph("recur")
+    pdss = {"stee": induce(stee), "recur": induce(recur)}
+    fgs = {"stee": stee, "recur": recur}
+
+    def build(name, kind):
+        sts = sts_of_flow_graph(fgs[name], stack_capacity=3)
+        return sts if kind is None else mutate_sts(sts, kind)
+
+    cases = [("stee", None), ("recur", None), ("stee", "negate-guard"), ("recur", "swap-push")]
+    cold = {case: compare_with_pds(build(*case), pdss[case[0]]) for case in cases}
+    assert [cold[case].equivalent for case in cases] == [True, True, False, False]
+    warm = {case: build(*case) for case in cases}
+    for _ in range(3):
+        for case in cases:
+            name, kind = case
+            # a fresh copy made just after the last one was freed often
+            # takes over its id
+            fresh = dataclasses.replace(warm[case])
+            assert compare_with_pds(fresh, pdss[name]) == cold[case]
+            del fresh
+            assert compare_with_pds(warm[case], pdss[name]) == cold[case]
+            if kind is not None:  # a mutation made from a warm system
+                mutated = mutate_sts(warm[name, None], kind)
+                assert compare_with_pds(mutated, pdss[name]) == cold[case]
+
+
+def test_equal_sts_states_hash_equal():
+    def state(g=1, slot_node="n_m3", saved_k=0):
+        slot = (slot_node, (False, saved_k))
+        return StsState("n_s1", (slot,), freeze_env({"g": g, "f__b": False, "f__k": 0}))
+
+    assert state() == state() and state() is not state()
+    assert hash(state()) == hash(state())
+    assert state() != state(g=2) and len({state(), state(g=2)}) == 2
+    assert state() != state(slot_node="n_m2") and len({state(), state(slot_node="n_m2")}) == 2
+    assert state() != state(saved_k=1) and len({state(), state(saved_k=1)}) == 2
+    moved = dataclasses.replace(state(), scalars=state(g=2).scalars)
+    assert moved == state(g=2) and hash(moved) == hash(state(g=2))
+    assert dataclasses.replace(state()) == state() and hash(dataclasses.replace(state())) == hash(state())
+
+
+def test_an_evaluation_error_is_raised_every_time():
+    sts = sts_of_flow_graph(load_flow_graph("callret"))
+    index, action = next((i, a) for i, a in enumerate(sts.actions) if a.source == sts.init.node)
+    g = sts.globals_decls[0].name
+    divide = Binary("==", VarRef(g, True), Binary("/", VarRef(g, False), IntLit(0)))
+    broken = dataclasses.replace(sts, actions=sts.actions[:index]
+                                 + (dataclasses.replace(action, body=Action(divide)),)
+                                 + sts.actions[index + 1:])
+    state = sts_initial_states(broken)[0]
+    for _ in range(2):
+        with pytest.raises(EvalError, match="division by zero"):
+            sts_successors(broken, state)
