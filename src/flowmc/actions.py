@@ -57,31 +57,6 @@ class InfiniteDomainError(ActionError):
 
 
 # ---------------------------------------------------------------------------
-# States
-
-
-@dataclass(frozen=True)
-class State:
-    """A valuation split into the frame's local and global components."""
-
-    locals: tuple[tuple[str, Value], ...]
-    globals: tuple[tuple[str, Value], ...]
-
-    @staticmethod
-    def make(locals: Mapping[str, Value], globals: Mapping[str, Value]) -> "State":
-        return State(tuple(sorted(locals.items())), tuple(sorted(globals.items())))
-
-    def locals_dict(self) -> dict[str, Value]:
-        return dict(self.locals)
-
-    def globals_dict(self) -> dict[str, Value]:
-        return dict(self.globals)
-
-    def env(self) -> dict[str, Value]:
-        return {**dict(self.locals), **dict(self.globals)}
-
-
-# ---------------------------------------------------------------------------
 # Actions
 
 
@@ -225,11 +200,6 @@ def action_of_guard(guard: Expr) -> Action:
     return Action(guard, to_str(guard))
 
 
-def eval_action(action: Action, pre: State, post: State) -> bool:
-    """True iff (pre, post) is in the action's relation; side-effect free."""
-    return bool(eval_expr(action.expr, pre.env(), post.env()))
-
-
 def _same_value(a: Value, b: Value) -> bool:
     """Equality on values that never takes a bool for an int."""
     return a == b and isinstance(a, bool) == isinstance(b, bool)
@@ -296,21 +266,13 @@ def initial_valuations(constraint: Expr, names: list[str],
 
 def enumerate_posts(
     action: Action,
-    pre: State,
+    pre: Mapping[str, Value],
     domains: Mapping[str, Domain],
-) -> list[State]:
-    """All post states reachable from ``pre``: candidates agree with ``pre``
-    outside ``action.writes`` and satisfy the action, found by
-    ``enumerate_valuations``.  Deterministic order, lexicographic by
-    variable name then value."""
-    local_names = {name for name, _ in pre.locals}
-    return [
-        State.make(
-            {k: v for k, v in post.items() if k in local_names},
-            {k: v for k, v in post.items() if k not in local_names},
-        )
-        for post in enumerate_valuations(action, sorted(action.writes), pre.env(), domains)
-    ]
+) -> list[dict[str, Value]]:
+    """All post-states reachable from ``pre``: the valuations that agree
+    with ``pre`` outside ``action.writes`` and satisfy the action, found by
+    ``enumerate_valuations`` over the written variables in name order."""
+    return enumerate_valuations(action, sorted(action.writes), pre, domains)
 
 
 def literal(value: Value) -> Expr:

@@ -24,7 +24,6 @@ from . import __version__
 from .actions import ActionError
 from .emit import (
     EmitError,
-    EmitterOptions,
     check_nuxmv_text,
     check_tla_text,
     emit_dot,
@@ -138,17 +137,16 @@ def _inconclusive() -> int:
 def cmd_emit(args: argparse.Namespace) -> int:
     program, digest = _load(args.input)
     fg = translate(program)
-    opts = EmitterOptions(source_digest=digest)
     if args.backend == "dot":
-        files = [("dot", emit_dot(fg, opts))]
+        files = [("dot", emit_dot(fg, digest))]
     else:
         sts = sts_of_flow_graph(fg, stack_capacity=args.stack_capacity)
         if args.backend == "tla":
-            module, config = emit_tla(sts, opts)
+            module, config = emit_tla(sts, digest)
             check_tla_text(module)
             files = [("tla", module), ("cfg", config)]
         else:
-            model = emit_nuxmv(sts, opts)
+            model = emit_nuxmv(sts, digest)
             check_nuxmv_text(model)
             files = [("smv", model)]
     out_dir = Path(args.out)

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from typing import Optional
 
 from .actions import literal
@@ -64,11 +63,6 @@ class CapacityTooSmallError(EmitError):
 
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-
-
-@dataclass(frozen=True)
-class EmitterOptions:
-    source_digest: str = ""
 
 
 def _module_name(name: str, reserved: frozenset = frozenset()) -> str:
@@ -119,12 +113,12 @@ def _check_names(sts: Sts, reserved: frozenset, backend: str) -> None:
             )
 
 
-def _header(comment: str, opts: EmitterOptions) -> list[str]:
+def _header(comment: str, source_digest: str) -> list[str]:
     from . import __version__
 
     lines = [f"{comment} Generated by flowmc {__version__}"]
-    if opts.source_digest:
-        lines.append(f"{comment} source-ir sha256: {opts.source_digest}")
+    if source_digest:
+        lines.append(f"{comment} source-ir sha256: {source_digest}")
     return lines
 
 
@@ -216,7 +210,7 @@ def _wrap(text: str, expr: Expr) -> str:
 # TLA+
 
 
-def emit_tla(sts: Sts, opts: EmitterOptions = EmitterOptions()) -> tuple[str, str]:
+def emit_tla(sts: Sts, source_digest: str = "") -> tuple[str, str]:
     """Returns (module text, TLC config text); byte-deterministic."""
     name = _module_name(sts.module_name, _TLA_WORDS)
     # keywords too: check_tla_text counts them as declared, so it would pass one
@@ -233,7 +227,7 @@ def emit_tla(sts: Sts, opts: EmitterOptions = EmitterOptions()) -> tuple[str, st
     dom_constants = [f"Dom_{scalar}" for scalar in scalars]
 
     lines: list[str] = []
-    lines += _header("\\*", opts)
+    lines += _header("\\*", source_digest)
     lines.append(f"---- MODULE {name} ----")
     lines.append("EXTENDS Integers, Sequences")
     lines.append("")
@@ -364,7 +358,7 @@ def _check_capacity(sts: Sts) -> None:
         )
 
 
-def emit_nuxmv(sts: Sts, opts: EmitterOptions = EmitterOptions()) -> str:
+def emit_nuxmv(sts: Sts, source_digest: str = "") -> str:
     """nuXmv model: enumerated node variable, the stack flattened into
     per-slot scalars plus a depth counter, one DEFINE per action, TRANS as
     their disjunction.  Byte-deterministic."""
@@ -385,7 +379,7 @@ def emit_nuxmv(sts: Sts, opts: EmitterOptions = EmitterOptions()) -> str:
     init_local = dict(sts.init.locals_values)
 
     lines: list[str] = []
-    lines += _header("--", opts)
+    lines += _header("--", source_digest)
     lines.append(f"-- module {name}")
     lines.append("MODULE main")
     lines.append("VAR")
@@ -506,14 +500,14 @@ def _smv_action(sts: Sts, action: StsAction, save: str, restore: str) -> str:
 # DOT
 
 
-def emit_dot(fg: FlowGraph, opts: EmitterOptions = EmitterOptions()) -> str:
+def emit_dot(fg: FlowGraph, source_digest: str = "") -> str:
     """One cluster per procedure; entry nodes drawn with a thick border,
     return nodes with double peripheries; call edges labelled."""
     name = _module_name(fg.name)
     if name.lower() in _DOT_KEYWORDS:
         raise EmitError(f"module name {name!r} is a reserved word")
     lines: list[str] = []
-    lines += _header("//", opts)
+    lines += _header("//", source_digest)
     lines.append(f"digraph {name} {{")
     lines.append("  rankdir=TB;")
     lines.append('  node [shape=box, fontname="monospace"];')

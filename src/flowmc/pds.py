@@ -16,12 +16,11 @@ reported as a deadlock rather than silently truncating traces.
 from __future__ import annotations
 
 import itertools
-import random
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Generic, Hashable, Iterable, Mapping, Optional, TypeVar
 
-from .actions import Action, InfiniteDomainError, State, enumerate_posts, initial_valuations
+from .actions import Action, InfiniteDomainError, enumerate_posts, initial_valuations
 from .expr import Domain, Expr, ExprError, ExprTypeError, Value, eval_expr, free_vars, infer_type
 from .flowgraph import FlowEdge, FlowGraph
 
@@ -35,10 +34,6 @@ class UnsatisfiableInitError(PdsError):
 
 
 class NonGlobalVariableError(PdsError):
-    pass
-
-
-class NoInitialConfigurationError(PdsError):
     pass
 
 
@@ -102,11 +97,6 @@ Step = tuple[Env, tuple[StackFrame, ...]]
 @dataclass(frozen=True)
 class Trace:
     configurations: tuple[Configuration, ...]
-    complete: bool
-
-    @property
-    def state_run(self) -> list[dict[str, Value]]:
-        return [c.globals_dict() for c in self.configurations]
 
 
 @dataclass
@@ -115,10 +105,6 @@ class ExploreReport:
     deadlocks: list[Configuration]
     truncated: bool
     max_stack_depth: int
-
-    @property
-    def visited_count(self) -> int:
-        return len(self.visited)
 
 
 @dataclass
@@ -209,28 +195,30 @@ def _steps(pds: InducedPds, top: StackFrame, globals_: Env) -> tuple[Step, ...]:
     fg = pds.flow_graph
     proc_name = pds.proc_of(top.node)
     proc = fg.procedures[proc_name]
-    local_names = {d.name for d in proc.locals}
-    if set(top.locals_dict()) != local_names:
+    pre = top.locals_dict()
+    if set(pre) != {d.name for d in proc.locals}:
         raise MalformedConfigurationError(
             f"frame at '{top.node}' does not carry the locals of '{proc_name}'"
         )
-
-    pre = State(top.locals, globals_)
-    posts = enumerate_posts(pds.action_of(top.node), pre, pds.frame_domains(proc_name))
+    pre.update(globals_)
+    action, domains = pds.action_of(top.node), pds.frame_domains(proc_name)
+    # each post as (globals, locals), each in the name order of its pre-state
+    posts = [(tuple([(name, post[name]) for name, _ in globals_]),
+              tuple([(name, post[name]) for name, _ in top.locals]))
+             for post in enumerate_posts(action, pre, domains)]
 
     out: dict[Step, None] = {}
     for edge in pds._edges_from[top.node]:
-        for post in posts:
+        for post_globals, post_locals in posts:
             if edge.label is None:
-                out[post.globals, (StackFrame(edge.dst, post.locals),)] = None
+                out[post_globals, (StackFrame(edge.dst, post_locals),)] = None
             else:
                 callee = fg.procedures[edge.label]
                 callee_frame = StackFrame(callee.entry, freeze_env(callee.init_locals))
-                saved = StackFrame(edge.dst, post.locals)
-                out[post.globals, (callee_frame, saved)] = None
+                out[post_globals, (callee_frame, StackFrame(edge.dst, post_locals))] = None
     if top.node == proc.return_node and proc_name != fg.main:
-        for post in posts:
-            out[post.globals, ()] = None
+        for post_globals, _ in posts:
+            out[post_globals, ()] = None
     steps = pds._step_memo[key] = tuple(out)
     return steps
 
@@ -365,37 +353,8 @@ def check_invariant(
         stop=violates,
     )
     if search.found is not None:
-        return Verdict(False, False, Trace(search.path_to(search.found), complete=True))
+        return Verdict(False, False, Trace(search.path_to(search.found)))
     return Verdict(True, search.cut is not None, None)
-
-
-def sample_run(pds: InducedPds, length: int, seed: int = 0) -> Trace:
-    """Sample a prefix of a run: a seeded pseudo-random walk.
-
-    Runs are infinite, so successors that are immediate dead ends are
-    avoided whenever a continuable successor exists; the walk stops early
-    only when every continuation deadlocks.
-    """
-    if length < 1:
-        raise PdsError("length must be at least 1")
-    if not pds.initial:
-        raise NoInitialConfigurationError("the induced PDS has no initial configuration")
-    rng = random.Random(seed)
-    current = pds.initial[rng.randrange(len(pds.initial))]
-    configs = [current]
-    succ: Optional[list[Configuration]] = None
-    while len(configs) < length:
-        if succ is None:
-            succ = successors(pds, current)
-        if not succ:
-            return Trace(tuple(configs), complete=False)
-        # the successors of every candidate, kept for the one picked
-        following = [successors(pds, s) for s in succ]
-        pool = [i for i, f in enumerate(following) if f] or range(len(succ))
-        pick = pool[rng.randrange(len(pool))]
-        current, succ = succ[pick], following[pick]
-        configs.append(current)
-    return Trace(tuple(configs), complete=True)
 
 
 # ---------------------------------------------------------------------------

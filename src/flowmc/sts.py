@@ -22,7 +22,7 @@ import functools
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .actions import Action, classify, enumerate_valuations, initial_valuations, literal
+from .actions import Action, classify, enumerate_posts, initial_valuations, literal
 from .expr import (
     AnyVal,
     Binary,
@@ -329,8 +329,7 @@ def _posts(sts: Sts, index: int, scalars: Scalars) -> tuple[Change, ...]:
     if posts is None:
         body = sts.actions[index].body
         names = sorted(body.writes)
-        valuations = enumerate_valuations(body, names, dict([scalars[p] for p in reads]),
-                                          sts.domains)
+        valuations = enumerate_posts(body, dict([scalars[p] for p in reads]), sts.domains)
         posts = caches.posts[key] = tuple(
             tuple((caches.position[n], (n, env[n])) for n in names) for env in valuations)
     return posts

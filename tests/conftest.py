@@ -7,6 +7,7 @@ import pytest
 from flowmc.flowgraph import FlowGraph, translate
 from flowmc.ir import AnnotatedProgram
 from flowmc.ir_text import parse_program
+from flowmc.pds import successors
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -62,3 +63,13 @@ def load_text(text: str) -> FlowGraph:
     result = parse_program(text)
     assert result.program is not None and result.diagnostics == [], result.diagnostics
     return translate(result.program)
+
+
+def run_prefixes(pds, length: int) -> list[tuple]:
+    """Every path of ``length`` configurations of ``pds`` from an initial
+    configuration, in successor order: the prefixes of its runs, except
+    those cut short by a deadlock."""
+    out = [(config,) for config in pds.initial]
+    for _ in range(length - 1):
+        out = [path + (nxt,) for path in out for nxt in successors(pds, path[-1])]
+    return out

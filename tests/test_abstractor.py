@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import fixture_text, load_flow_graph, load_program
+from conftest import fixture_text, load_flow_graph, load_program, load_text
 from genprog import random_program, wide_program
 
 from flowmc.actions import action_of_contract, action_of_guard, conjoin, id_action
@@ -213,6 +213,40 @@ def test_missing_return_is_reported():
     with pytest.raises(TranslateError) as err:
         translate(prog)
     assert err.value.code == "UnreachableExit"
+
+
+def test_a_spliced_block_ending_in_a_jump_has_no_fall_through():
+    # b2 is spliced in at j and jumps back to b1, so nothing continues from
+    # j to r: r is left with only main's stutter
+    fg = load_text("""\
+program loop
+global x : int 0..3
+init x == 0
+procedure main
+  block b1
+    point a : x := 1
+    point j : jump b2
+    point r : return
+    edge a -> j
+    edge j -> r
+    entry a
+    exit r
+  block b2
+    point s : skip
+    point k : jump b1
+    edge s -> k
+    entry s
+    exit k
+""")
+    main = fg.procedures["main"]
+    assert main.nodes == ("n_m1", "n_m2", "n_m3", "n_m4")
+    assert main.return_node == "n_m4"
+    assert set(main.edges) == {
+        FlowEdge("n_m1", None, "n_m2"),  # a to the spliced s
+        FlowEdge("n_m2", None, "n_m3"),
+        FlowEdge("n_m3", None, "n_m1"),  # k jumps back to a
+        FlowEdge("n_m4", None, "n_m4"),
+    }
 
 
 def test_main_return_always_stutters():

@@ -10,11 +10,9 @@ import time
 
 import pytest
 
-from conftest import GOLDEN, load_flow_graph
+from conftest import GOLDEN, load_flow_graph, run_prefixes
 
-from flowmc.actions import State, eval_action
 from flowmc.emit import (
-    EmitterOptions,
     emit_dot,
     emit_nuxmv,
     emit_tla,
@@ -22,12 +20,12 @@ from flowmc.emit import (
     scan_nuxmv_structure,
     scan_tla_structure,
 )
-from flowmc.expr import parse_expr
+from flowmc.expr import eval_expr, parse_expr
 from flowmc.flowgraph import FlowEdge
-from flowmc.pds import StackFrame, check_invariant, explore, freeze_env, induce, sample_run, successors
+from flowmc.pds import StackFrame, check_invariant, explore, freeze_env, induce, successors
 from flowmc.sts import MUTATIONS, compare_with_pds, execute_sts, mutate_sts, sts_of_flow_graph
 
-from test_pds import materialize_rules, oracle_successors
+from test_pds import env, materialize_rules, oracle_successors
 
 
 def _timed(budget: float):
@@ -77,17 +75,16 @@ def test_criterion_2_run_prefix_reproduction():
     steering = fg.procedures["steering"]
     havoc = fg.procedures["main"].actions["n_m1"]
     init_frame = StackFrame(steering.entry, freeze_env(steering.init_locals))
-    for seed in range(50):
-        trace = sample_run(pds, 3, seed=seed)
-        c1, c2, c3 = trace.configurations
+    # every run prefix of three configurations: both initial
+    # configurations, each to both havocked values of primary_ok
+    prefixes = run_prefixes(pds, 3)
+    assert len({(c1, c2) for c1, c2, _ in prefixes}) == len(prefixes) == 4
+    for c1, c2, c3 in prefixes:
         assert c1.depth == 1 and c1.top.node == "n_m1"
         assert c2.depth == 1 and c2.top.node == "n_m2"
-        assert eval_action(
-            havoc, State(c1.top.locals, c1.globals), State(c2.top.locals, c2.globals)
-        )
+        assert eval_expr(havoc.expr, env(c1), env(c2))
         assert c3.stack == (init_frame, StackFrame("n_m3", c2.top.locals))
-        g1, g2, g3 = trace.state_run
-        assert g2 == g3
+        assert c2.globals == c3.globals
     done("criterion 2: run-prefix reproduction")
 
 
@@ -126,10 +123,10 @@ def test_criterion_5_emitter_determinism_and_goldens():
     for name in finite:
         fg = load_flow_graph(name)
         sts = sts_of_flow_graph(fg)
-        module, config = emit_tla(sts, EmitterOptions(source_digest="x"))
-        model = emit_nuxmv(sts, EmitterOptions(source_digest="x"))
-        dot = emit_dot(fg, EmitterOptions(source_digest="x"))
-        assert emit_tla(sts, EmitterOptions(source_digest="x")) == (module, config)
+        module, config = emit_tla(sts, source_digest="x")
+        model = emit_nuxmv(sts, source_digest="x")
+        dot = emit_dot(fg, source_digest="x")
+        assert emit_tla(sts, source_digest="x") == (module, config)
         assert normalize_emitted(module) == normalize_emitted(
             (GOLDEN / f"{name}.tla").read_text()
         )
@@ -143,7 +140,7 @@ def test_criterion_5_emitter_determinism_and_goldens():
         assert scan_tla_structure(module) == scan_nuxmv_structure(model)
     for name in ["unbounded"]:
         fg = load_flow_graph(name)
-        model = emit_nuxmv(sts_of_flow_graph(fg), EmitterOptions(source_digest="x"))
+        model = emit_nuxmv(sts_of_flow_graph(fg), source_digest="x")
         assert normalize_emitted(model) == normalize_emitted(
             (GOLDEN / f"{name}.smv").read_text()
         )
@@ -184,7 +181,7 @@ PROPERTY_TESTS = {
     # pds-engine
     "rule soundness": ("test_pds", "test_successors_match_materialized_rules"),
     "stack well-nesting": ("test_pds", "test_stack_well_nesting_and_caller_frames"),
-    "trace projection": ("test_pds", "test_sample_run_projection"),
+    "trace projection": ("test_pds", "test_trace_projection"),
     "monotone exploration": ("test_pds", "test_explore_monotone_in_bounds"),
     "exploration determinism": ("test_pds", "test_explore_deterministic"),
     # sts-core

@@ -15,17 +15,17 @@ from flowmc.actions import (
     EmptyContractError,
     InfiniteDomainError,
     PrimedInGuardError,
-    State,
     UnsupportedStatementError,
     action_of_contract,
     action_of_guard,
     action_of_statement,
     conjoin,
     enumerate_posts,
-    eval_action,
     id_action,
 )
-from flowmc.expr import AnyVal, Binary, Domain, VarRef, conj, conjuncts, free_vars, parse_expr
+from flowmc.expr import (
+    AnyVal, Binary, Domain, VarRef, conj, conjuncts, eval_expr, free_vars, parse_expr,
+)
 from flowmc.ir import Assign, Contract, Jump, Skip
 
 BOOL = Domain("bool")
@@ -33,49 +33,38 @@ D8 = Domain("range", 0, 7)
 D4 = Domain("range", 0, 3)
 
 
-def _states(domains: dict[str, Domain], local_names=()):
+def _states(domains: dict[str, Domain]):
     names = sorted(domains)
     for combo in itertools.product(*(list(domains[n].values()) for n in names)):
-        env = dict(zip(names, combo))
-        yield State.make(
-            {k: v for k, v in env.items() if k in local_names},
-            {k: v for k, v in env.items() if k not in local_names},
-        )
+        yield dict(zip(names, combo))
 
 
-def brute_force_posts(action: Action, pre: State, domains: dict[str, Domain]):
+def brute_force_posts(action: Action, pre, domains: dict[str, Domain]):
     """Independent oracle: filter the full candidate space directly."""
-    local_names = {k for k, _ in pre.locals}
-    pre_env = pre.env()
     out = []
-    for post in _states(domains, local_names):
-        post_env = post.env()
-        frame_ok = all(
-            post_env[name] == pre_env[name]
-            for name in pre_env
-            if name not in action.writes
-        )
-        if frame_ok and eval_action(action, pre, post):
+    for post in _states(domains):
+        frame_ok = all(post[name] == pre[name] for name in pre if name not in action.writes)
+        if frame_ok and eval_expr(action.expr, pre, post):
             out.append(post)
     return out
 
 
 def test_increment_action_matches_paper_semantics():
     action = Action(parse_expr("x' == x + 1", allow_primed=True))
-    assert eval_action(action, State.make({}, {"x": 1}), State.make({}, {"x": 2}))
-    assert not eval_action(action, State.make({}, {"x": 1}), State.make({}, {"x": 3}))
+    assert eval_expr(action.expr, {"x": 1}, {"x": 2})
+    assert not eval_expr(action.expr, {"x": 1}, {"x": 3})
 
 
 def test_identity_action_is_the_diagonal():
     ident = id_action({"x"})
-    assert eval_action(ident, State.make({}, {"x": 5}), State.make({}, {"x": 5}))
-    assert not eval_action(ident, State.make({}, {"x": 5}), State.make({}, {"x": 6}))
+    assert eval_expr(ident.expr, {"x": 5}, {"x": 5})
+    assert not eval_expr(ident.expr, {"x": 5}, {"x": 6})
 
 
 def test_empty_identity_is_constant_true():
     ident = id_action(set())
     assert ident.writes == frozenset()
-    assert eval_action(ident, State.make({}, {"x": 0}), State.make({}, {"x": 1}))
+    assert eval_expr(ident.expr, {"x": 0}, {"x": 1})
 
 
 def test_unsatisfiable_guard_conjunct():
@@ -86,9 +75,9 @@ def test_unsatisfiable_guard_conjunct():
 
 def test_assign_action_frame():
     action = action_of_statement(Assign("x", parse_expr("x + 1")), {"x", "y"})
-    pre = State.make({}, {"x": 1, "y": 5})
-    assert eval_action(action, pre, State.make({}, {"x": 2, "y": 5}))
-    assert not eval_action(action, pre, State.make({}, {"x": 2, "y": 6}))
+    pre = {"x": 1, "y": 5}
+    assert eval_expr(action.expr, pre, {"x": 2, "y": 5})
+    assert not eval_expr(action.expr, pre, {"x": 2, "y": 6})
 
 
 def test_skip_is_identity():
@@ -105,9 +94,9 @@ def test_assign_copy_unique_post_over_full_space():
     # oracle first: x := y over the 8x8 domain has exactly one post per pre
     action = action_of_statement(Assign("x", parse_expr("y")), {"x", "y"})
     domains = {"x": D8, "y": D8}
-    pre = State.make({}, {"x": 0, "y": 7})
+    pre = {"x": 0, "y": 7}
     expected = brute_force_posts(action, pre, domains)
-    assert expected == [State.make({}, {"x": 7, "y": 7})]
+    assert expected == [{"x": 7, "y": 7}]
     assert enumerate_posts(action, pre, domains) == expected
 
 
@@ -115,12 +104,12 @@ def test_contract_havoc_and_frame():
     contract = Contract("spec", parse_expr("x > 0"), parse_expr("true"), ("x",))
     action = action_of_contract(contract, {"x", "y"}, {"x": D4, "y": D4})
     domains = {"x": D4, "y": D4}
-    pre = State.make({}, {"x": 2, "y": 1})
+    pre = {"x": 2, "y": 1}
     expected = brute_force_posts(action, pre, domains)
-    assert [p.globals_dict()["x"] for p in expected] == [0, 1, 2, 3]
+    assert [p["x"] for p in expected] == [0, 1, 2, 3]
     assert enumerate_posts(action, pre, domains) == expected
     # requires fails: no posts at all
-    blocked = State.make({}, {"x": 0, "y": 1})
+    blocked = {"x": 0, "y": 1}
     assert enumerate_posts(action, blocked, domains) == []
 
 
@@ -129,9 +118,9 @@ def test_contract_old_reference():
         "spec", parse_expr("true"), parse_expr("x == old(x) + 1", allow_old=True), ("x",)
     )
     action = action_of_contract(contract, {"x", "y"}, {"x": D4, "y": D4})
-    pre = State.make({}, {"x": 1, "y": 2})
+    pre = {"x": 1, "y": 2}
     posts = enumerate_posts(action, pre, {"x": D4, "y": D4})
-    assert [p.globals_dict() for p in posts] == [{"x": 2, "y": 2}]
+    assert posts == [{"x": 2, "y": 2}]
 
 
 def test_empty_contract_has_no_action():
@@ -141,35 +130,35 @@ def test_empty_contract_has_no_action():
 
 def test_guard_reads_pre_state_only():
     action = action_of_guard(parse_expr("x == 0"))
-    pre = State.make({}, {"x": 1})
+    pre = {"x": 1}
     for value in D4.values():
-        assert not eval_action(action, pre, State.make({}, {"x": value}))
+        assert not eval_expr(action.expr, pre, {"x": value})
     with pytest.raises(PrimedInGuardError):
         action_of_guard(parse_expr("x' == 0", allow_primed=True))
 
 
 def test_enumerate_posts_identity():
-    pre = State.make({}, {"x": 2})
+    pre = {"x": 2}
     assert enumerate_posts(id_action({"x"}), pre, {"x": D4}) == [pre]
 
 
 def test_enumerate_posts_domain_overflow():
     action = Action(parse_expr("x' == x + 1", allow_primed=True))
-    pre = State.make({}, {"x": 3})
+    pre = {"x": 3}
     assert enumerate_posts(action, pre, {"x": D4}) == []
 
 
 def test_enumerate_posts_full_havoc():
     action = Action(parse_expr("x' == x || x' != x", allow_primed=True))
-    pre = State.make({}, {"x": False})
+    pre = {"x": False}
     posts = enumerate_posts(action, pre, {"x": BOOL})
-    assert [p.globals_dict()["x"] for p in posts] == [False, True]
+    assert [p["x"] for p in posts] == [False, True]
 
 
 def test_enumerate_posts_infinite_domain():
     action = Action(parse_expr("x' == x + 1", allow_primed=True))
     with pytest.raises(InfiniteDomainError):
-        enumerate_posts(action, State.make({}, {"x": 0}), {"x": Domain("int")})
+        enumerate_posts(action, {"x": 0}, {"x": Domain("int")})
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +239,10 @@ def _relations(draw):
 def test_conjunction_semantics(text_a, text_b, x0, y0, x1, y1):
     a = Action(parse_expr(text_a, allow_primed=True))
     b = Action(parse_expr(text_b, allow_primed=True))
-    pre = State.make({}, {"x": x0, "y": y0})
-    post = State.make({}, {"x": x1, "y": y1})
-    assert eval_action(conjoin(a, b), pre, post) == (
-        eval_action(a, pre, post) and eval_action(b, pre, post)
+    pre = {"x": x0, "y": y0}
+    post = {"x": x1, "y": y1}
+    assert eval_expr(conjoin(a, b).expr, pre, post) == (
+        eval_expr(a.expr, pre, post) and eval_expr(b.expr, pre, post)
     )
 
 
@@ -274,11 +263,11 @@ def test_enumerate_posts_agrees_with_eval(text):
        st.booleans())
 def test_id_action_reflexive_and_diagonal(names, x, y, p):
     ident = id_action(names)
-    pre = State.make({}, {"x": x, "y": y, "p": p})
-    assert eval_action(ident, pre, pre)
+    pre = {"x": x, "y": y, "p": p}
+    assert eval_expr(ident.expr, pre, pre)
     for post in _states(_small_domains):
-        agree = all(post.env()[n] == pre.env()[n] for n in names)
-        assert eval_action(ident, pre, post) == agree
+        agree = all(post[n] == pre[n] for n in names)
+        assert eval_expr(ident.expr, pre, post) == agree
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -286,8 +275,8 @@ def test_id_action_reflexive_and_diagonal(names, x, y, p):
        st.integers(0, 3), st.integers(0, 2), st.booleans())
 def test_guard_independent_of_post_state(text, x, y, p):
     action = action_of_guard(parse_expr(text))
-    pre = State.make({}, {"x": x, "y": y, "p": p})
-    results = {eval_action(action, pre, post) for post in _states(_small_domains)}
+    pre = {"x": x, "y": y, "p": p}
+    results = {eval_expr(action.expr, pre, post) for post in _states(_small_domains)}
     assert len(results) == 1
 
 
@@ -297,11 +286,11 @@ def test_contract_frame_condition(assigns, x, y):
     contract = Contract("spec", parse_expr("true"), parse_expr("true"), tuple(sorted(assigns)))
     domains = {"x": Domain("range", 0, 3), "y": Domain("range", 0, 2)}
     action = action_of_contract(contract, {"x", "y"}, domains)
-    pre = State.make({}, {"x": x, "y": y})
+    pre = {"x": x, "y": y}
     for post in enumerate_posts(action, pre, domains):
         for name in ("x", "y"):
             if name not in assigns:
-                assert post.globals_dict()[name] == pre.globals_dict()[name]
+                assert post[name] == pre[name]
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)

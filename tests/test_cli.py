@@ -102,6 +102,79 @@ def test_validate_reports_a_guarded_return_conflict(tmp_path):
     assert "GuardedReturnConflict" in err
 
 
+# main over one global with point a, then the return point r; each case
+# breaks it in one place
+ONE_STEP = """\
+program diag
+global x : int 0..3
+init x == 0
+procedure main
+  block b1
+    point a : skip
+    point r : return
+    edge a -> r
+    entry a
+    exit r
+"""
+
+MAIN_THEN_B2 = """\
+program diag
+global x : int 0..3
+init x == 0
+procedure main
+  block b1
+    point a : x := 1
+    point j : jump b2
+    point r : return
+    edge a -> j
+    edge j -> r
+    entry a
+    exit r
+  block b2
+"""
+
+
+@pytest.mark.parametrize("text, message", [
+    (ONE_STEP.replace("skip", "zz := 1"),
+     "BadAction: assigned variable 'zz' is not in the frame (procedure main/block b1/point a)"),
+    (ONE_STEP.replace("skip", "x := true"),
+     "BadAction: operator '==' expects matching types (procedure main/block b1/point a)"),
+    (ONE_STEP.replace("edge a -> r", "edge a -> r when x + 1"),
+     "BadGuard: guard is not boolean (procedure main/block b1/point a)"),
+    (ONE_STEP.replace("edge a -> r", "edge a -> r when x == true"),
+     "BadGuard: operator '==' expects matching types (procedure main/block b1/point a)"),
+    # the jumped-to block ends in a return of its own
+    (MAIN_THEN_B2 + "    point s : skip\n    point r2 : return\n    edge s -> r2\n"
+     "    entry s\n    exit r2\n",
+     "MultipleReturns: more than one return point in the flow graph (procedure main)"),
+], ids=["undeclared-target", "ill-typed-assign", "int-guard", "ill-typed-guard", "two-returns"])
+def test_validate_reports_translate_diagnostics(tmp_path, text, message):
+    path = write_program(tmp_path, "diag", text)
+    assert run_cli("validate", path) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("text, code, err", [
+    ("program p\nglobal x : int 0..\n" + ONE_STEP.split("\n", 3)[3],
+     1, "SyntaxError: bad domain 'int 0..' [line 2]\n"),
+    (ONE_STEP.replace("edge a -> r", "edge a r"),
+     1, "SyntaxError: expected 'edge <id> -> <id> [when <bexpr>]' (procedure main/block b1)"
+        " [line 8]\n"),
+    ("local y : bool = false\n" + ONE_STEP,
+     1, "SyntaxError: 'local' outside a procedure [line 1]\n"),
+    (ONE_STEP.replace("skip", "frob"),
+     1, "SyntaxError: bad statement 'frob' (procedure main/block b1) [line 6]\n"
+        "MissingPoint: entry point 'a' is not a point (procedure main/block b1)\n"
+        "MissingPoint: edge a -> r leaves the block (procedure main/block b1)\n"),
+    # no block is declared, so no program is built
+    ("program p\nprocedure main\n  block b1 contract requires true requires true\n",
+     2, "SyntaxError: duplicate 'requires' clause (procedure main) [line 3]\n"
+        "SyntaxError: procedure 'main' has no blocks (procedure main)\n"),
+], ids=["bad-domain", "bad-edge", "stray-local", "bad-statement", "duplicate-clause"])
+def test_validate_reports_parse_diagnostics(tmp_path, text, code, err):
+    path = write_program(tmp_path, "diag", text)
+    assert run_cli("validate", path) == (code, "", err)
+
+
 def test_check_trivial_invariant_holds():
     code, out, _ = run_cli("check", fx("stee"), "--invariant", "true")
     assert code == 0

@@ -10,7 +10,6 @@ from genprog import wide_program
 from flowmc.emit import (
     CapacityTooSmallError,
     EmitError,
-    EmitterOptions,
     UnboundedDomainError,
     check_nuxmv_text,
     check_tla_text,
@@ -36,7 +35,7 @@ def _golden(name: str, suffix: str) -> str:
 @pytest.mark.parametrize("name", FINITE)
 def test_tla_matches_golden(name):
     sts = sts_of_flow_graph(load_flow_graph(name))
-    module, config = emit_tla(sts, EmitterOptions(source_digest="abc"))
+    module, config = emit_tla(sts, source_digest="abc")
     assert normalize_emitted(module) == normalize_emitted(_golden(name, "tla"))
     assert config == _golden(name, "cfg")
 
@@ -44,13 +43,13 @@ def test_tla_matches_golden(name):
 @pytest.mark.parametrize("name", FINITE + ["unbounded"])
 def test_nuxmv_matches_golden(name):
     sts = sts_of_flow_graph(load_flow_graph(name))
-    model = emit_nuxmv(sts, EmitterOptions(source_digest="abc"))
+    model = emit_nuxmv(sts, source_digest="abc")
     assert normalize_emitted(model) == normalize_emitted(_golden(name, "smv"))
 
 
 @pytest.mark.parametrize("name", FINITE + ["unbounded"])
 def test_dot_matches_golden(name):
-    dot = emit_dot(load_flow_graph(name), EmitterOptions(source_digest="abc"))
+    dot = emit_dot(load_flow_graph(name), source_digest="abc")
     assert normalize_emitted(dot) == normalize_emitted(_golden(name, "dot"))
 
 
@@ -63,8 +62,8 @@ def test_emitters_are_byte_deterministic(stee):
 
 def test_header_normalization_strips_version_lines(stee):
     sts = sts_of_flow_graph(stee)
-    a = emit_nuxmv(sts, EmitterOptions(source_digest="a" * 64))
-    b = emit_nuxmv(sts, EmitterOptions(source_digest="b" * 64))
+    a = emit_nuxmv(sts, source_digest="a" * 64)
+    b = emit_nuxmv(sts, source_digest="b" * 64)
     assert a != b
     assert normalize_emitted(a) == normalize_emitted(b)
 

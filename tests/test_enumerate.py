@@ -11,16 +11,16 @@ import itertools
 
 import pytest
 
-from conftest import FIXTURES, load_flow_graph
+from conftest import FIXTURES, load_flow_graph, run_prefixes
 
 from genprog import random_program
 
-from flowmc.actions import Action, State, action_of_statement, enumerate_valuations
+from flowmc.actions import Action, action_of_statement, enumerate_valuations
 from flowmc.expr import BOOL, Domain, EvalError, ExprTypeError, VarRef, eval_expr, parse_expr
 from flowmc.flowgraph import translate
 from flowmc.ir import Assign
 from flowmc.ir_text import parse_program
-from flowmc.pds import UnsatisfiableInitError, explore, format_trace, induce, sample_run
+from flowmc.pds import Trace, UnsatisfiableInitError, explore, format_trace, induce
 from flowmc.sts import execute_sts, mutate_sts, sts_initial_states, sts_of_flow_graph
 
 D4 = Domain("range", 0, 3)
@@ -70,17 +70,18 @@ def test_pds_enumerator_matches_full_product(make):
     except UnsatisfiableInitError:
         return
     report = explore(pds, max_steps=2_000, max_stack=6)
-    pres: dict[str, set[State]] = {}
+    # procedure -> its (locals, globals) pre-states
+    pres: dict[str, set[tuple]] = {}
     for config in report.visited:
         top = config.top
-        pres.setdefault(pds.proc_of(top.node), set()).add(State(top.locals, config.globals))
+        pres.setdefault(pds.proc_of(top.node), set()).add((top.locals, config.globals))
     for proc_name, states in pres.items():
         proc = pds.flow_graph.procedures[proc_name]
         domains = pds.frame_domains(proc_name)
         for action in proc.actions.values():
             written = sorted(action.writes)
-            for pre in sorted(states, key=repr):
-                _assert_same(action, written, pre.env(), domains)
+            for local_env, global_env in sorted(states, key=repr):
+                _assert_same(action, written, {**dict(local_env), **dict(global_env)}, domains)
 
 
 @pytest.mark.parametrize("make", _flow_graphs())
@@ -238,7 +239,7 @@ def test_bool_never_matches_an_int_pin():
 
 
 # ---------------------------------------------------------------------------
-# sampled runs
+# run prefixes
 
 
 MODE_WALK = """\
@@ -254,20 +255,8 @@ MODE_WALK = """\
 9 | inp=false mode=0 | (n_s1 primary_info=false sndary_info=false) (n_m3)"""
 
 
-def test_sample_run_expands_each_configuration_once(monkeypatch):
-    import flowmc.pds as pds_module
-
+def test_mode_run_prefixes():
     pds = induce(load_flow_graph("mode"))
-    calls = []
-    original = pds_module.successors
-
-    def counting(p, config):
-        calls.append(config)
-        return original(p, config)
-
-    monkeypatch.setattr(pds_module, "successors", counting)
-    trace = sample_run(pds, 10, seed=4)
-    assert format_trace(trace) == MODE_WALK
-    # the first configuration, then every candidate of every step once
-    expected = 1 + sum(len(original(pds, c)) for c in trace.configurations[:-1])
-    assert len(calls) == expected
+    walks = [format_trace(Trace(run)) for run in run_prefixes(pds, 10)]
+    assert len(walks) == len(set(walks)) == 24
+    assert MODE_WALK in walks

@@ -1,5 +1,5 @@
 """Pushdown semantics: the lazy successor relation against a materialized
-rewrite-rule oracle, exploration, invariant checking, and run sampling."""
+rewrite-rule oracle, exploration, invariant checking, and run prefixes."""
 
 import contextlib
 import dataclasses
@@ -8,18 +8,17 @@ import itertools
 
 import pytest
 
-from conftest import FIXTURES, load_flow_graph, load_text
+from conftest import FIXTURES, load_flow_graph, load_text, run_prefixes
 
 from genprog import random_program
 
-from flowmc.actions import InfiniteDomainError, State, eval_action
+from flowmc.actions import InfiniteDomainError
 from flowmc.cli import main
-from flowmc.expr import EvalError, ExprTypeError, parse_expr
+from flowmc.expr import EvalError, ExprTypeError, eval_expr, parse_expr
 from flowmc.flowgraph import TranslateError, translate
 from flowmc.pds import (
     Configuration,
     MalformedConfigurationError,
-    NoInitialConfigurationError,
     NonGlobalVariableError,
     StackFrame,
     UnsatisfiableInitError,
@@ -29,7 +28,6 @@ from flowmc.pds import (
     format_trace,
     freeze_env,
     induce,
-    sample_run,
     successors,
 )
 
@@ -51,39 +49,38 @@ def materialize_rules(pds):
             action = proc.actions[node]
             for g in global_space:
                 for l in local_space:
-                    pre = State(freeze_env(l), freeze_env(g))
+                    # posts as (globals, locals)
                     pairs = []
                     for g2 in global_space:
                         for l2 in local_space:
-                            post = State(freeze_env(l2), freeze_env(g2))
-                            if eval_action(action, pre, post):
-                                pairs.append(post)
+                            if eval_expr(action.expr, {**l, **g}, {**l2, **g2}):
+                                pairs.append((freeze_env(g2), freeze_env(l2)))
                     head = (freeze_env(g), StackFrame(node, freeze_env(l)))
                     body = rules.setdefault(head, [])
                     for edge in proc.edges:
                         if edge.src != node:
                             continue
-                        for post in pairs:
+                        for post_globals, post_locals in pairs:
                             if edge.label is None:
                                 body.append(
-                                    (post.globals, (StackFrame(edge.dst, post.locals),))
+                                    (post_globals, (StackFrame(edge.dst, post_locals),))
                                 )
                             else:
                                 callee = fg.procedures[edge.label]
                                 body.append(
                                     (
-                                        post.globals,
+                                        post_globals,
                                         (
                                             StackFrame(
                                                 callee.entry, freeze_env(callee.init_locals)
                                             ),
-                                            StackFrame(edge.dst, post.locals),
+                                            StackFrame(edge.dst, post_locals),
                                         ),
                                     )
                                 )
                     if node == proc.return_node and proc.name != fg.main:
-                        for post in pairs:
-                            body.append((post.globals, ()))
+                        for post_globals, _ in pairs:
+                            body.append((post_globals, ()))
     return rules
 
 
@@ -159,10 +156,9 @@ def test_entry_step_havocs_inputs(stee):
     config = pds.initial[0]
     succ = successors(pds, config)
     havoc = stee.procedures["main"].actions["n_m1"]
-    pre = State(config.top.locals, config.globals)
     for nxt in succ:
         assert nxt.top.node in {"n_m2", "n_m4"}
-        assert eval_action(havoc, pre, State(nxt.top.locals, nxt.globals))
+        assert eval_expr(havoc.expr, env(config), env(nxt))
     assert {c.globals_dict()["primary_ok"] for c in succ} == {False, True}
 
 
@@ -195,14 +191,14 @@ def test_explore_stee(stee):
     report = explore(pds, max_stack=4)
     assert not report.truncated
     assert report.max_stack_depth == 2
-    assert report.visited_count == 27
+    assert len(report.visited) == 27
     assert {c.top.node for c in report.deadlocks} == {"n_m4"}
 
 
 def test_explore_minimal_stutter():
     pds = induce(load_flow_graph("minimal"))
     report = explore(pds)
-    assert report.visited_count == 1
+    assert len(report.visited) == 1
     assert report.deadlocks == []
 
 
@@ -279,53 +275,68 @@ def test_invariant_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# sampling
+# run prefixes
 
 
-def test_sample_run_prefix_shape_every_seed(stee):
+def env(config):
+    """What the top frame's action reads: its locals and the globals."""
+    return {**config.top.locals_dict(), **config.globals_dict()}
+
+
+def test_every_run_prefix_of_stee(stee):
     pds = induce(stee)
     steering = stee.procedures["steering"]
     havoc = stee.procedures["main"].actions["n_m1"]
-    for seed in range(40):
-        trace = sample_run(pds, 3, seed=seed)
-        c1, c2, c3 = trace.configurations
+    prefixes = run_prefixes(pds, 3)
+    # from either initial primary_ok to either havocked one; the steps to
+    # n_m4 deadlock
+    assert sorted((c1.globals_dict()["primary_ok"], c2.globals_dict()["primary_ok"])
+                  for c1, c2, _ in prefixes) == list(itertools.product([False, True], repeat=2))
+    for c1, c2, c3 in prefixes:
         assert c1.depth == 1 and c1.top.node == "n_m1"
         assert c2.depth == 1 and c2.top.node == "n_m2"
-        assert eval_action(
-            havoc, State(c1.top.locals, c1.globals), State(c2.top.locals, c2.globals)
-        )
-        assert c3.top == StackFrame(steering.entry, freeze_env(steering.init_locals))
-        assert c3.stack[1] == StackFrame("n_m3", c2.top.locals)
-        run = trace.state_run
-        assert run[1] == run[2]  # the call step keeps the globals
+        assert eval_expr(havoc.expr, env(c1), env(c2))
+        assert c3.stack == (StackFrame(steering.entry, freeze_env(steering.init_locals)),
+                            StackFrame("n_m3", c2.top.locals))
+        assert c3.globals == c2.globals  # the call step keeps the globals
 
 
-def test_sample_run_minimal_is_constant():
+def test_minimal_runs_keep_their_globals():
     pds = induce(load_flow_graph("minimal"))
-    trace = sample_run(pds, 5, seed=7)
-    assert trace.complete
-    assert len(set(map(tuple, (sorted(g.items()) for g in trace.state_run)))) == 1
+    (run,) = run_prefixes(pds, 5)
+    assert len({config.globals for config in run}) == 1
 
 
-def test_sample_run_deterministic(stee):
-    pds = induce(stee)
-    assert sample_run(pds, 8, seed=11) == sample_run(pds, 8, seed=11)
+def _literal(value) -> str:
+    return ("true" if value else "false") if isinstance(value, bool) else str(value)
 
 
-def test_sample_run_projection(stee):
-    pds = induce(stee)
-    trace = sample_run(pds, 6, seed=2)
-    for config, glob in zip(trace.configurations, trace.state_run):
-        assert config.globals_dict() == glob
-
-
-def test_sample_run_requires_initials():
-    import dataclasses
-
-    pds = induce(load_flow_graph("minimal"))
-    empty = dataclasses.replace(pds, initial=[])
-    with pytest.raises(NoInitialConfigurationError):
-        sample_run(empty, 3)
+@pytest.mark.parametrize("name", ["mode", "stee", "callret", "boolcall", "two_bools"])
+def test_trace_projection(name):
+    # an invariant reads only the projection of each configuration onto the
+    # globals: it holds iff every reachable projection satisfies it, and a
+    # counterexample is a path from an initial configuration whose
+    # projection first violates it at its end, as format_trace prints it
+    fg = load_flow_graph(name)
+    pds = induce(fg)
+    report = explore(pds)
+    assert not report.truncated
+    reached = [config.globals_dict() for config in report.visited]
+    for decl in fg.globals:
+        for value in decl.domain.values():
+            verdict = check_invariant(pds, parse_expr(f"{decl.name} != {_literal(value)}"))
+            assert verdict.holds == all(g[decl.name] != value for g in reached)
+            if verdict.holds:
+                continue
+            configs = verdict.trace.configurations
+            assert configs[0] in pds.initial
+            for a, b in zip(configs, configs[1:]):
+                assert b in successors(pds, a)
+            run = [config.globals_dict() for config in configs]
+            assert [g[decl.name] == value for g in run] == [False] * (len(run) - 1) + [True]
+            for step, (line, g) in enumerate(zip(format_trace(verdict.trace).splitlines(), run)):
+                shown = " ".join(f"{k}={_literal(v)}" for k, v in sorted(g.items()))
+                assert line.startswith(f"{step} | {shown} | ")
 
 
 # ---------------------------------------------------------------------------
@@ -334,23 +345,31 @@ def test_sample_run_requires_initials():
 
 @pytest.mark.parametrize("seed", range(60))
 def test_stack_well_nesting_and_caller_frames(seed):
-    prog = random_program(seed)
-    fg = translate(prog)
+    # every step of a closed search: a push saves a frame of the caller's
+    # procedure under the callee's initial frame, a pop uncovers exactly
+    # the frame below, and no step touches the frames below the top; so
+    # along every run a pop restores the frame its push saved
+    fg = translate(random_program(seed))
     try:
         pds = induce(fg)
     except UnsatisfiableInitError:
         return
-    trace = sample_run(pds, 12, seed=seed)
-    shadow: list[StackFrame] = []
-    for a, b in zip(trace.configurations, trace.configurations[1:]):
-        if b.depth == a.depth + 1:
-            shadow.append(b.stack[1])  # the frame saved by the push
-        elif b.depth == a.depth - 1:
-            saved = shadow.pop()
-            assert b.top == saved  # the pop restores the exact pushed frame
-        else:
-            assert b.depth == a.depth
-            assert b.stack[1:] == a.stack[1:]  # frames below the top are untouched
+    report = explore(pds)
+    assert not report.truncated
+    initial_frames = {StackFrame(p.entry, freeze_env(p.init_locals))
+                      for p in fg.procedures.values()}
+    for a in report.visited:
+        for b in successors(pds, a):
+            if b.depth == a.depth + 1:
+                assert b.top in initial_frames
+                assert pds.proc_of(b.stack[1].node) == pds.proc_of(a.top.node)
+                assert b.stack[2:] == a.stack[1:]
+            elif b.depth == a.depth - 1:
+                assert b.stack == a.stack[1:]
+            else:
+                assert b.depth == a.depth
+                assert pds.proc_of(b.top.node) == pds.proc_of(a.top.node)
+                assert b.stack[1:] == a.stack[1:]
 
 
 @pytest.mark.parametrize("seed", range(60))

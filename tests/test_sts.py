@@ -5,12 +5,12 @@ import dataclasses
 
 import pytest
 
-from conftest import FIXTURES, TOGGLE_RECURSION, load_flow_graph, load_text
+from conftest import FIXTURES, TOGGLE_RECURSION, load_flow_graph, load_text, run_prefixes
 
 from genprog import random_program
 
 import flowmc.sts
-from flowmc.actions import Action, enumerate_valuations
+from flowmc.actions import Action, enumerate_posts
 from flowmc.expr import Binary, EvalError, IntLit, VarRef
 from flowmc.flowgraph import TranslateError, translate
 from flowmc.pds import (
@@ -20,7 +20,6 @@ from flowmc.pds import (
     explore,
     freeze_env,
     induce,
-    sample_run,
 )
 from flowmc.sts import (
     MUTATIONS,
@@ -134,19 +133,21 @@ def test_a_call_without_a_node_test_overflows_at_every_node():
 def test_stack_encoding_matches_pds_along_runs(stee):
     sts = sts_of_flow_graph(stee)
     pds = induce(stee)
-    trace = sample_run(pds, 10, seed=5)
-    # replay the PDS trace inside the STS via the projection
-    states = {project_state(sts, s): s for s in sts_initial_states(sts)}
-    current = next(s for c, s in states.items() if c == trace.configurations[0])
-    for config in trace.configurations[1:]:
-        succ = sts_successors(sts, current)
-        matches = [s for s in succ if project_state(sts, s) == config]
-        assert len(matches) == 1
-        current = matches[0]
-        # element-wise stack agreement under the encoding
-        assert len(current.stack) == config.depth - 1
-        for slot, frame in zip(current.stack, config.stack[1:]):
-            assert slot[0] == frame.node
+    initial = {project_state(sts, s): s for s in sts_initial_states(sts)}
+    runs = run_prefixes(pds, 10)
+    assert len(runs) == 8
+    # replay every PDS run prefix inside the STS via the projection
+    for run in runs:
+        current = initial[run[0]]
+        for config in run[1:]:
+            succ = sts_successors(sts, current)
+            matches = [s for s in succ if project_state(sts, s) == config]
+            assert len(matches) == 1
+            current = matches[0]
+            # element-wise stack agreement under the encoding
+            assert len(current.stack) == config.depth - 1
+            for slot, frame in zip(current.stack, config.stack[1:]):
+                assert slot[0] == frame.node
 
 
 def test_push_pop_inverse():
@@ -261,7 +262,7 @@ def plain_successors(sts, state):
             continue
         if action.kind == "return" and not state.stack:
             continue
-        for env in enumerate_valuations(action.body, sorted(action.body.writes), pre, sts.domains):
+        for env in enumerate_posts(action.body, pre, sts.domains):
             node, stack = action.target, state.stack
             if action.kind == "call":
                 stack = ((action.push_node, tuple(pre[n] for n in sts.locals_order)),) + stack
